@@ -9,16 +9,8 @@ productivity witness spells out the crossing path.
 import argparse
 
 from safepomcp.domains import GridSpec, factored_gap_world, render_layout
-from safepomcp.factored import (
-    decompose,
-    propagate_factored_regions,
-    union_contains,
-)
-from safepomcp.winning import (
-    compute_winning_region,
-    productivity_witness,
-    region_contains,
-)
+from safepomcp.factored import decompose, propagate_factored_regions
+from safepomcp.winning import compute_winning_region, productivity_witness
 from safepomcp.model import support_post
 
 
@@ -42,10 +34,10 @@ def main():
     u = m.support_from_names(args.support.split())
     names = sorted(m.names_from_mask(u))
     print(f"\nsupport {names}:")
-    print(f"  centralized region: {'yes' if region_contains(centralized, u) else 'no'}")
-    print(f"  factored union:     {'yes' if union_contains(union, u) else 'no'}")
+    print(f"  centralized region: {'yes' if centralized.contains(u) else 'no'}")
+    print(f"  factored union:     {'yes' if union.contains(u) else 'no'}")
 
-    if region_contains(centralized, u):
+    if centralized.contains(u):
         print("  centralized witness:")
         v = u
         for a, o in productivity_witness(centralized, m, u):

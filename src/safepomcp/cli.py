@@ -23,23 +23,13 @@ from typing import Sequence
 
 import yaml
 
-from .domains import (
-    GridSpec,
-    factored_gap_world,
-    gen_obstacle,
-    gen_refuel,
-    gen_rocksample,
-    render_layout,
-)
+from .domains import GENERATORS, GridSpec, factored_gap_world, render_layout
 from .factored import (
     decompose,
     factored_elements_in_parent,
-    factored_witness,
     parse_factored,
     propagate_factored_regions,
     serialize_factored,
-    union_allowed_actions,
-    union_contains,
 )
 from .harness import (
     DEFAULT_STEP_CAP,
@@ -48,6 +38,7 @@ from .harness import (
     ExperimentConfig,
     ModelSource,
     UnwinningStartError,
+    obtain_region,
     run_episode,
     run_experiment,
 )
@@ -65,15 +56,10 @@ from .winning import (
     parse_region,
     powerset_supports,
     productivity_witness,
-    region_contains,
     serialize_region,
 )
 
-GENERATORS = {
-    "obstacle": gen_obstacle,
-    "refuel": gen_refuel,
-    "rocksample": gen_rocksample,
-}
+PLANNER_OVERRIDES = ("simulations", "particles", "depth", "ucb_c", "discount")
 
 
 def _grid_from_args(args) -> GridSpec:
@@ -165,13 +151,9 @@ def _load_region(path: str, m: Pomdp, mode: ShieldMode):
     return parse_factored(text, m) if mode.factored else parse_region(text, m)
 
 
-def _planner_from_args(args) -> PlannerConfig:
-    base = FULL_PROFILE if args.full else DESK_PROFILE
-    overrides = {}
-    for name in ("simulations", "particles", "depth", "ucb_c", "discount"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
+def _with_overrides(base: PlannerConfig, values: dict) -> PlannerConfig:
+    """``base`` with the planner fields that ``values`` names replaced."""
+    overrides = {k: values[k] for k in PLANNER_OVERRIDES if k in values}
     return dataclasses.replace(base, **overrides) if overrides else base
 
 
@@ -182,13 +164,17 @@ def _cmd_plan(args) -> int:
     if mode.shielded:
         if args.region is not None:
             region = _load_region(args.region, m, mode)
-        elif mode.factored:
-            region = propagate_factored_regions(
-                m, decompose(m), deadline=_deadline(args.timeout)
-            )
         else:
-            region = compute_winning_region(m, deadline=_deadline(args.timeout))
-    cfg = _planner_from_args(args)
+            family = "factored" if mode.factored else "centralized"
+            timeout = args.timeout if args.timeout > 0 else None
+            build = obtain_region(m, family, None, timeout)
+            if build.timed_out:
+                raise RegionTimeout(
+                    f"{family} region computation exceeded {args.timeout}s"
+                )
+            region = build.region
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    cfg = _with_overrides(FULL_PROFILE if args.full else DESK_PROFILE, given)
     metrics = run_episode(
         m, region, mode, cfg, args.cap, args.seed,
         measure_time=args.time,
@@ -247,14 +233,9 @@ def load_bench_config(path: str | Path) -> ExperimentConfig:
     profile = raw.get("profile", "desk")
     if profile not in ("desk", "full"):
         raise ValueError(f"unknown profile {profile!r} (desk or full)")
-    planner = FULL_PROFILE if profile == "full" else DESK_PROFILE
-    overrides = {
-        k: raw[k]
-        for k in ("simulations", "particles", "depth", "ucb_c", "discount")
-        if k in raw
-    }
-    if overrides:
-        planner = dataclasses.replace(planner, **overrides)
+    planner = _with_overrides(
+        FULL_PROFILE if profile == "full" else DESK_PROFILE, raw
+    )
     scalars = {
         k: raw[k]
         for k in (
@@ -283,22 +264,16 @@ def _cmd_check(args) -> int:
     m = load_model(args.model)
     text = Path(args.region).read_text()
     if _region_file_kind(text) == "factored":
-        f = parse_factored(text, m)
-        elems = factored_elements_in_parent(f)
-        contains = lambda u: union_contains(f, u)
-        allowed = lambda u: union_allowed_actions(f, m, u)
-        witness = lambda u: factored_witness(f, m, u)
-        kind = f"factored union over {len(f.subs)} submodels"
+        region = parse_factored(text, m)
+        elems = factored_elements_in_parent(region)
+        kind = f"factored union over {len(region.subs)} submodels"
     else:
-        w = parse_region(text, m)
-        elems = w.elements
-        contains = lambda u: region_contains(w, u)
-        allowed = lambda u: allowed_actions(w, m, u)
-        witness = lambda u: productivity_witness(w, m, u)
+        region = parse_region(text, m)
+        elems = region.elements
         kind = "centralized region"
     not_reach = ~m.reach_mask
     for u in elems:
-        if u & not_reach and not allowed(u):
+        if u & not_reach and not allowed_actions(region, m, u):
             print(
                 f"closure hole: {sorted(m.names_from_mask(u))} has no action "
                 "keeping every branch inside the region",
@@ -310,8 +285,8 @@ def _cmd_check(args) -> int:
     sample = pool if len(pool) <= args.witnesses else rng.sample(pool, args.witnesses)
     for u in sample:
         v = u
-        for a, o in witness(u):
-            if a not in allowed(v):
+        for a, o in productivity_witness(region, m, u):
+            if a not in allowed_actions(region, m, v):
                 print(
                     f"witness uses disallowed action {m.action_names[a]} at "
                     f"{sorted(m.names_from_mask(v))}",
@@ -319,7 +294,7 @@ def _cmd_check(args) -> int:
                 )
                 return 2
             v = support_post(m, v, a, o)
-            if v == 0 or not contains(v):
+            if v == 0 or not region.contains(v):
                 print(
                     f"witness leaves the region after {m.action_names[a]}/"
                     f"{m.obs_names[o]} from {sorted(m.names_from_mask(u))}",

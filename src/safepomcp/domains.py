@@ -534,6 +534,14 @@ def gen_rocksample(gs: GridSpec) -> Pomdp:
     )
 
 
+# The generator families by name, as the CLI and bench configs spell them.
+GENERATORS = {
+    "obstacle": gen_obstacle,
+    "refuel": gen_refuel,
+    "rocksample": gen_rocksample,
+}
+
+
 def factored_gap_world() -> Pomdp:
     """6x6 obstacle layout whose factored region is strictly smaller.
 

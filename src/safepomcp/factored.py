@@ -6,13 +6,20 @@ the *outlet* states it can exit into (made absorbing there), and computes a
 local winning region.  Reach sets are then propagated between neighbours to
 a fixpoint: whenever a singleton outlet support is winning in its owner's
 region, the exiting submodel may treat that outlet as a local reach state
-and recompute.  The union of the final per-submodel regions is a productive
-winning region of the full model, though possibly a strict subset of the
-centralized one (a support can be winning only via a detour through a
-neighbouring room, which the room-local dynamics cannot see).
+and recompute.  On obstacle n=6 and n=8 and on the gap world the union of
+the final per-submodel regions is a productive winning region of the full
+model inside the centralized one, possibly a strict subset of it (a support
+can be winning only via a detour through a neighbouring room, which the
+room-local dynamics cannot see).  That does not hold in general.  On
+obstacle n=4, 2 of the union's 17 antichain elements lie outside the
+centralized region.  On refuel n=6 the union is not step-closed: 20 of its
+elements have no action that keeps every branch inside it, from one more no
+goal is reachable, and 352 of its 868 elements lie outside the centralized
+region.
 
 Membership of the union, like centralized membership, is downward closed;
-the planner's shields query it with the same interface.
+``FactoredRegion.contains`` answers it with the same interface as
+``WinningRegion.contains``.
 """
 
 from __future__ import annotations
@@ -23,24 +30,22 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .model import (
+    PROB_EPS,
     ModelError,
     Pomdp,
     make_pomdp,
     mask_from_states,
     states_from_mask,
-    support_post_all,
+    support_post_all,  # perfbench/layers.py patches this name
 )
 from .modelio import model_hash
 from .winning import (
-    RegionMisuseError,
     Spec,
     SupportGraph,
     WinningRegion,
-    _witness_bfs,
     antichain,
     build_support_graph,
     compute_winning_region,
-    region_contains,
 )
 
 
@@ -96,9 +101,10 @@ def decompose(m: Pomdp) -> list[Submodel]:
 
     Each submodel's states are its own label's states plus the one-step
     exit targets (outlets), which become absorbing self-loops with zero
-    reward; observation rows are inherited unchanged, so one support step
-    inside a submodel matches the full model exactly as long as the
-    support stays on own states.
+    reward.  Like the rest of the support algebra, transitions of at most
+    ``PROB_EPS`` count as absent: they make no outlet.  Observation rows
+    are inherited unchanged, so one support step inside a submodel matches
+    the full model exactly as long as the support stays on own states.
     """
     if m.partition is None:
         raise ModelError("model carries no partition labels")
@@ -109,20 +115,20 @@ def decompose(m: Pomdp) -> list[Submodel]:
     for s, lbl in enumerate(m.partition):
         own[label_index[lbl]].append(s)
 
+    own_masks = [mask_from_states(states) for states in own]
     outlets: list[dict[int, int]] = [dict() for _ in range(n_subs)]
     inlets: list[set[int]] = [set() for _ in range(n_subs)]
     na = m.n_actions
+    succ_masks = m._succ_masks
     for s in range(m.n_states):
         i = label_index[m.partition[s]]
+        succ = 0
         for a in range(na):
-            succs, probs = m.transitions[s * na + a]
-            for t, p in zip(succs, probs):
-                if p <= 0.0:
-                    continue
-                j = label_index[m.partition[t]]
-                if j != i:
-                    outlets[i][t] = j
-                    inlets[j].add(t)
+            succ |= succ_masks[s * na + a]
+        for t in states_from_mask(succ & ~own_masks[i]):
+            j = label_index[m.partition[t]]
+            outlets[i][t] = j
+            inlets[j].add(t)
 
     init_support = set(m.init_states)
     subs: list[Submodel] = []
@@ -141,7 +147,9 @@ def decompose(m: Pomdp) -> list[Submodel]:
                 else:
                     succs, probs = m.transitions[s * na + a]
                     trans[k, a] = {
-                        from_parent[t]: p for t, p in zip(succs, probs)
+                        from_parent[t]: p
+                        for t, p in zip(succs, probs)
+                        if p > PROB_EPS
                     }
                     rewards[k, a] = m.rewards[s * na + a]
                 obs, probs = m.observations[s * na + a]
@@ -183,7 +191,7 @@ def decompose(m: Pomdp) -> list[Submodel]:
                 pomdp=sub_pomdp,
                 to_parent=tuple(extended),
                 from_parent=from_parent,
-                own_parent_mask=mask_from_states(own[i]),
+                own_parent_mask=own_masks[i],
                 extended_parent_mask=mask_from_states(extended),
                 outlets=dict(sorted(outlets[i].items())),
                 inlets=tuple(sorted(inlets[i])),
@@ -204,13 +212,29 @@ def decompose(m: Pomdp) -> list[Submodel]:
 
 @dataclass
 class FactoredRegion:
-    """Per-submodel winning regions plus the union-membership index."""
+    """Per-submodel winning regions, queried as their union.
+
+    ``spec`` is the full-model objective in parent ids; the per-submodel
+    regions carry their own local objectives.
+    """
 
     subs: list[Submodel]
     regions: list[WinningRegion]
     model_hash: str
+    spec: Spec
     queue_pushes: int = 0
     recomputes: int = 0
+
+    def contains(self, u: int) -> bool:
+        """True when some submodel covers the support and accepts it."""
+        if u == 0:
+            raise ValueError("membership query on an empty support")
+        for sub, reg in zip(self.subs, self.regions):
+            if u & ~sub.extended_parent_mask:
+                continue
+            if reg.elements and reg.contains(sub.to_sub_mask(u)):
+                return True
+        return False
 
     def region_of(self, label: str) -> WinningRegion:
         for sub, reg in zip(self.subs, self.regions):
@@ -334,7 +358,7 @@ def propagate_factored_regions(
             if s in subs[j].avoid_states:
                 continue
             singleton = 1 << subs[j].from_parent[s]
-            if regions[j].elements and region_contains(regions[j], singleton):
+            if regions[j].elements and regions[j].contains(singleton):
                 sub.reach_states.add(s)
                 grew = True
         if grew:
@@ -347,51 +371,9 @@ def propagate_factored_regions(
         subs=subs,
         regions=regions,
         model_hash=subs[0].parent_hash if subs else "",
+        spec=spec if spec is not None else Spec.of(m),
         queue_pushes=stats["pushes"],
         recomputes=stats["recomputes"],
-    )
-
-
-def union_contains(f: FactoredRegion, u: int) -> bool:
-    """True when some submodel covers the support and accepts it."""
-    if u == 0:
-        raise ValueError("membership query on an empty support")
-    for sub, reg in zip(f.subs, f.regions):
-        if u & ~sub.extended_parent_mask:
-            continue
-        if reg.elements and region_contains(reg, sub.to_sub_mask(u)):
-            return True
-    return False
-
-
-def union_allowed_actions(f: FactoredRegion, m: Pomdp, u: int) -> tuple[int, ...]:
-    """Actions whose every full-model branch stays inside the union."""
-    if not union_contains(f, u):
-        raise RegionMisuseError(
-            f"allowed actions on support outside the union: {m.names_from_mask(u)}"
-        )
-    out = []
-    for a in range(m.n_actions):
-        if all(union_contains(f, v) for _, v in support_post_all(m, u, a)):
-            out.append(a)
-    return tuple(out)
-
-
-def factored_witness(f: FactoredRegion, m: Pomdp, u: int) -> list[tuple[int, int]]:
-    """A productive path certified entirely by union membership.
-
-    The path runs over full-model supports; every step's action keeps all
-    branches inside the union, and the terminal support sits inside the
-    model's reach set.  Its existence for every accepted support is the
-    content of the containment lemma relating factored and centralized
-    regions.
-    """
-    return _witness_bfs(
-        u,
-        contains=lambda v: union_contains(f, v),
-        allowed=lambda v: union_allowed_actions(f, m, v),
-        m=m,
-        reach_mask=m.reach_mask,
     )
 
 
@@ -543,4 +525,6 @@ def parse_factored(text: str, m: Pomdp) -> FactoredRegion:
             sub.reach_states = reach_seen[sub.index]
         ac = antichain(elems.get(sub.index, []))
         regions.append(WinningRegion(ac, sub.local_spec(), model_hash(sub.pomdp)))
-    return FactoredRegion(subs=subs, regions=regions, model_hash=file_hash)
+    return FactoredRegion(
+        subs=subs, regions=regions, model_hash=file_hash, spec=Spec.of(m)
+    )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -24,15 +25,15 @@ from pathlib import Path
 from random import Random
 from typing import TextIO
 
-from .domains import GridSpec, gen_obstacle, gen_refuel, gen_rocksample
+from .domains import GENERATORS, GridSpec
 from .factored import (
-    FactoredRegion,
     decompose,
     parse_factored,
     propagate_factored_regions,
     serialize_factored,
 )
-from .model import Pomdp, sample_initial, sample_step, support_post_all
+from .model import Pomdp, sample_initial, sample_step
+from .model import support_post_all  # perfbench/layers.py patches this name
 from .modelio import load_model, model_hash
 from .pomcp import (
     BeliefCollapseError,
@@ -43,8 +44,10 @@ from .pomcp import (
 )
 from .shield import SafetyViolation, ShieldContext, ShieldMode, ShieldStats, prior_prune
 from .winning import (
+    Region,
+    RegionFileError,
     RegionTimeout,
-    WinningRegion,
+    branches_inside,
     compute_winning_region,
     parse_region,
     serialize_region,
@@ -85,7 +88,7 @@ class EpisodeMetrics:
 
 def run_episode(
     m: Pomdp,
-    region: WinningRegion | FactoredRegion | None,
+    region: Region | None,
     mode: ShieldMode,
     cfg: PlannerConfig,
     cap: int,
@@ -129,14 +132,14 @@ def run_episode(
         a = plan_step(m, root, cfg, shield=ctx, rng=rng)
         if measure_time:
             times.append(time.perf_counter() - t0)
-        if ctx is not None:
-            for _o, mask in support_post_all(m, root.support, a):
-                if not ctx.contains(mask):
-                    raise SafetyViolation(
-                        f"action {m.action_names[a]} from support "
-                        f"{sorted(m.names_from_mask(root.support))} has a "
-                        "branch outside the region"
-                    )
+        if ctx is not None and not branches_inside(
+            m, root.support, a, ctx.contains
+        ):
+            raise SafetyViolation(
+                f"action {m.action_names[a]} from support "
+                f"{sorted(m.names_from_mask(root.support))} has a "
+                "branch outside the region"
+            )
         step = sample_step(m, s, a, rng)
         total += step.reward
         steps += 1
@@ -191,11 +194,7 @@ class ModelSource:
     def build(self) -> Pomdp:
         if self.file is not None:
             return load_model(self.file)
-        gen = {
-            "obstacle": gen_obstacle,
-            "refuel": gen_refuel,
-            "rocksample": gen_rocksample,
-        }.get(self.family)
+        gen = GENERATORS.get(self.family)
         if gen is None:
             raise ValueError(f"unknown domain family {self.family!r}")
         return gen(self.grid)
@@ -242,7 +241,7 @@ class RegionBuild:
     """Outcome of obtaining one region: the handle, timing, provenance."""
 
     family: str
-    region: WinningRegion | FactoredRegion | None
+    region: Region | None
     seconds: float
     cached: bool
     timed_out: bool = False
@@ -256,37 +255,46 @@ def obtain_region(
 ) -> RegionBuild:
     """Load a region from the cache or compute and store it.
 
-    ``family`` is "centralized" or "factored".  A timeout yields a build
-    with ``region=None`` and ``timed_out=True``; experiment cells needing
-    it are then reported as "-" rather than failing the whole run.
+    ``family`` is "centralized" or "factored".  A cache file that fails to
+    parse is recomputed and overwritten.  Files are written under a
+    per-process temporary name in the cache directory and renamed into
+    place, so no reader sees a half-written file.  A timeout yields a build with ``region=None`` and
+    ``timed_out=True``; experiment cells needing it are then reported as
+    "-" rather than failing the whole run.
     """
-    h = model_hash(m)
     path = None
     if cache_dir is not None:
-        path = Path(cache_dir) / f"{h}.{family}.region"
+        path = Path(cache_dir) / f"{model_hash(m)}.{family}.region"
         if path.exists():
             t0 = time.perf_counter()
             text = path.read_text()
-            region = (
-                parse_factored(text, m) if family == "factored"
-                else parse_region(text, m)
-            )
-            return RegionBuild(family, region, time.perf_counter() - t0, True)
+            try:
+                region = (
+                    parse_factored(text, m) if family == "factored"
+                    else parse_region(text, m)
+                )
+                return RegionBuild(family, region, time.perf_counter() - t0, True)
+            except RegionFileError:
+                pass  # rebuilt and overwritten below
     deadline = time.monotonic() + timeout if timeout is not None else None
     t0 = time.perf_counter()
     try:
         if family == "factored":
             region = propagate_factored_regions(m, decompose(m), deadline=deadline)
-            text = serialize_factored(region, m)
         else:
             region = compute_winning_region(m, deadline=deadline)
-            text = serialize_region(region, m)
     except RegionTimeout:
         return RegionBuild(family, None, time.perf_counter() - t0, False, True)
     seconds = time.perf_counter() - t0
     if path is not None:
+        text = (
+            serialize_factored(region, m) if family == "factored"
+            else serialize_region(region, m)
+        )
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        tmp.write_text(text)
+        os.replace(tmp, path)
     return RegionBuild(family, region, seconds, False)
 
 

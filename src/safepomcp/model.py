@@ -16,6 +16,7 @@ sampled trajectories can never leave the exact supports.
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -131,6 +132,14 @@ class Pomdp:
     @cached_property
     def init_support(self) -> int:
         return mask_from_states(self.init_states)
+
+    @cached_property
+    def canonical_hash(self) -> str:
+        """Short stable fingerprint of the canonical text form, computed once;
+        :func:`safepomcp.modelio.model_hash` returns it."""
+        from .modelio import serialize_model  # modelio imports this module
+
+        return hashlib.sha256(serialize_model(self).encode()).hexdigest()[:16]
 
     @cached_property
     def state_id(self) -> dict[str, int]:

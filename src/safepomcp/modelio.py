@@ -25,7 +25,6 @@ byte-identical files.  ``model_hash`` fingerprints that canonical text.
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
 
 from .model import (
@@ -76,8 +75,12 @@ def serialize_model(m: Pomdp) -> str:
 
 
 def model_hash(m: Pomdp) -> str:
-    """Short stable fingerprint of the canonical serialization."""
-    return hashlib.sha256(serialize_model(m).encode()).hexdigest()[:16]
+    """Short stable fingerprint of the canonical serialization.
+
+    The model is serialized on the first call only; the value is cached on
+    the (immutable) model as ``Pomdp.canonical_hash``.
+    """
+    return m.canonical_hash
 
 
 def _strip(line: str) -> str:

@@ -19,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .factored import FactoredRegion, union_contains
-from .model import Pomdp, support_post_all
+from .factored import FactoredRegion
+from .model import Pomdp
+from .model import support_post_all  # perfbench/layers.py patches this name
 from .modelio import model_hash
 from .pomcp import Node
-from .winning import WinningRegion, region_contains
+from .winning import Region, branches_inside
 
 
 class SafetyViolation(RuntimeError):
@@ -82,15 +83,13 @@ class ShieldContext:
 
     The context doubles as the planner's shield hook: ``backtracking``
     gates the in-simulation checks and ``contains`` answers membership
-    queries against whichever region kind the mode uses.
+    queries against the mode's region, of either kind.
     """
 
     __slots__ = ("mode", "model", "region", "backtracking",
-                 "root_pruned", "sim_pruned", "queries", "_factored")
+                 "root_pruned", "sim_pruned", "queries")
 
-    def __init__(self, mode: ShieldMode,
-                 m: Pomdp,
-                 region: WinningRegion | FactoredRegion):
+    def __init__(self, mode: ShieldMode, m: Pomdp, region: Region):
         if not mode.shielded:
             raise ValueError("NoShield runs take no shield context")
         if mode.factored != isinstance(region, FactoredRegion):
@@ -105,7 +104,6 @@ class ShieldContext:
         self.model = m
         self.region = region
         self.backtracking = mode.on_the_fly
-        self._factored = mode.factored
         self.root_pruned = 0
         self.sim_pruned = 0
         self.queries = 0
@@ -113,9 +111,7 @@ class ShieldContext:
     def contains(self, mask: int) -> bool:
         """Region membership of a support mask, counted as one query."""
         self.queries += 1
-        if self._factored:
-            return union_contains(self.region, mask)
-        return region_contains(self.region, mask)
+        return self.region.contains(mask)
 
     def note_sim_prune(self):
         self.sim_pruned += 1
@@ -130,10 +126,7 @@ class ShieldContext:
         makes executed actions exactly safe without enumerating branches
         of actions the search never tries.
         """
-        for _o, mask in support_post_all(self.model, support, a):
-            if not self.contains(mask):
-                return False
-        return True
+        return branches_inside(self.model, support, a, self.contains)
 
     def stats(self) -> ShieldStats:
         return ShieldStats(self.root_pruned, self.sim_pruned, self.queries)
@@ -157,12 +150,10 @@ def prior_prune(ctx: ShieldContext, root: Node) -> set[int]:
             "prior pruning called on a root support outside the region"
         )
     m = ctx.model
-    pruned: set[int] = set()
-    for a in range(m.n_actions):
-        for _o, mask in support_post_all(m, support, a):
-            if not ctx.contains(mask):
-                pruned.add(a)
-                break
+    pruned = {
+        a for a in range(m.n_actions)
+        if not branches_inside(m, support, a, ctx.contains)
+    }
     for a in pruned:
         root.shielded |= 1 << a
     if len(pruned) == m.n_actions:

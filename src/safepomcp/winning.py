@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 from .model import (
     Pomdp,
@@ -41,7 +41,7 @@ DEFAULT_VERTEX_CAP = 5_000_000
 
 
 class GraphCapExceeded(RuntimeError):
-    """The support graph outgrew the vertex cap; consider factored regions."""
+    """The support graph outgrew the vertex cap."""
 
 
 class RegionTimeout(RuntimeError):
@@ -132,8 +132,7 @@ def build_support_graph(
                 if v not in index:
                     if len(vertices) >= max_vertices:
                         raise GraphCapExceeded(
-                            f"support graph exceeded {max_vertices} vertices; "
-                            f"use a factored region instead"
+                            f"support graph exceeded {max_vertices} vertices"
                         )
                     index[v] = len(vertices)
                     vertices.append(v)
@@ -226,18 +225,27 @@ class WinningRegion:
     def _complements(self) -> tuple[int, ...]:
         return tuple(~u for u in self.elements)
 
-    def __contains__(self, u: int) -> bool:
-        return region_contains(self, u)
+    def contains(self, u: int) -> bool:
+        """Downward-closure membership: u is a subset of some antichain element."""
+        if u == 0:
+            raise ValueError("membership query on an empty support")
+        for comp in self._complements:
+            if u & comp == 0:
+                return True
+        return False
 
 
-def region_contains(w: WinningRegion, u: int) -> bool:
-    """Downward-closure membership: u is a subset of some antichain element."""
-    if u == 0:
-        raise ValueError("membership query on an empty support")
-    for comp in w._complements:
-        if u & comp == 0:
-            return True
-    return False
+class Region(Protocol):
+    """What shields and checks ask of a region, centralized or factored.
+
+    Membership is downward closed over belief supports; ``spec`` is the
+    objective in the model's own state ids.
+    """
+
+    spec: Spec
+    model_hash: str
+
+    def contains(self, u: int) -> bool: ...
 
 
 def compute_winning_region(
@@ -292,48 +300,47 @@ def powerset_supports(states: Sequence[int]) -> list[int]:
     return out
 
 
-def allowed_actions(w: WinningRegion, m: Pomdp, u: int) -> tuple[int, ...]:
+def branches_inside(
+    m: Pomdp, u: int, a: int, contains: Callable[[int], bool]
+) -> bool:
+    """True when every non-empty observation branch of ``a`` from ``u`` is
+    accepted by ``contains``; stops at the first branch that is not."""
+    for _o, v in support_post_all(m, u, a):
+        if not contains(v):
+            return False
+    return True
+
+
+def allowed_actions(region: Region, m: Pomdp, u: int) -> tuple[int, ...]:
     """Actions whose every non-empty branch support stays in the region.
 
     Raising on non-members keeps shields honest: querying allowed actions
     of a support outside the region is a contract violation upstream.
     """
-    if not region_contains(w, u):
+    contains = region.contains
+    if not contains(u):
         raise RegionMisuseError(
             f"allowed_actions on non-winning support {m.names_from_mask(u)}"
         )
-    out = []
-    for a in range(m.n_actions):
-        if all(region_contains(w, v) for _, v in support_post_all(m, u, a)):
-            out.append(a)
-    return tuple(out)
-
-
-def productivity_witness(
-    w: WinningRegion, m: Pomdp, u: int
-) -> list[tuple[int, int]]:
-    """A finite (action, observation) path from ``u`` to a goal support.
-
-    Every intermediate support is winning and every step uses an allowed
-    action; the terminal support is contained in the reach set.  Existence
-    is guaranteed by the fixpoint, so exhaustion raises ``WitnessError``.
-    """
-    return _witness_bfs(
-        u,
-        contains=lambda v: region_contains(w, v),
-        allowed=lambda v: allowed_actions(w, m, v),
-        m=m,
-        reach_mask=w.spec.reach_mask,
+    return tuple(
+        a for a in range(m.n_actions) if branches_inside(m, u, a, contains)
     )
 
 
-def _witness_bfs(
-    u, *, contains, allowed, m: Pomdp, reach_mask: int
+def productivity_witness(
+    region: Region, m: Pomdp, u: int
 ) -> list[tuple[int, int]]:
-    not_reach = ~reach_mask
+    """A finite (action, observation) path from ``u`` to a goal support.
+
+    Every intermediate support is in the region and every step uses an
+    allowed action; the terminal support is contained in the reach set.
+    The fixpoint guarantees existence for centralized regions, so
+    exhaustion raises ``WitnessError``; a factored union can lack a path.
+    """
+    not_reach = ~region.spec.reach_mask
     if u & not_reach == 0:
         return []
-    if not contains(u):
+    if not region.contains(u):
         raise RegionMisuseError(
             f"witness requested for non-member support {m.names_from_mask(u)}"
         )
@@ -343,7 +350,7 @@ def _witness_bfs(
     while head < len(queue):
         v = queue[head]
         head += 1
-        for a in allowed(v):
+        for a in allowed_actions(region, m, v):
             for o, v2 in support_post_all(m, v, a):
                 if v2 in parent:
                     continue
@@ -357,7 +364,7 @@ def _witness_bfs(
                         node = prev
                     path.reverse()
                     return path
-                if contains(v2):
+                if region.contains(v2):
                     queue.append(v2)
     raise WitnessError(
         f"no productive path from winning support {m.names_from_mask(u)}"

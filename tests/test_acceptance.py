@@ -32,13 +32,12 @@ from safepomcp import (
     states_from_mask,
     support_post,
 )
-from safepomcp.factored import factored_elements_in_parent, union_contains
+from safepomcp.factored import factored_elements_in_parent
 from safepomcp.harness import DESK_PROFILE, run_episode
 from safepomcp.modelio import model_hash, serialize_model
 from safepomcp.winning import (
     powerset_supports,
     productivity_witness,
-    region_contains,
 )
 
 CAP = 200
@@ -142,7 +141,7 @@ def test_criterion_2_unshielded_baseline(pools):
 def test_criterion_3_exhaustive_oracle_equivalence(tiny3, tiny3_region, tiny3_oracle):
     for u in powerset_supports(range(tiny3.n_states)):
         expect = frozenset(states_from_mask(u)) in tiny3_oracle
-        assert region_contains(tiny3_region, u) == expect, sorted(
+        assert tiny3_region.contains(u) == expect, sorted(
             tiny3.names_from_mask(u)
         )
     subs = decompose(tiny3)
@@ -152,7 +151,7 @@ def test_criterion_3_exhaustive_oracle_equivalence(tiny3, tiny3_region, tiny3_or
     for sub in subs:
         for u in powerset_supports(states_from_mask(sub.own_parent_mask)):
             expect = frozenset(states_from_mask(u)) in tiny3_oracle
-            assert union_contains(union, u) == expect, sorted(
+            assert union.contains(u) == expect, sorted(
                 tiny3.names_from_mask(u)
             )
             checked += 1
@@ -170,17 +169,17 @@ def test_criterion_4_union_inside_centralized(obstacle6, obstacle6_region, obsta
     ):
         elements = factored_elements_in_parent(factored)
         for u in elements:
-            assert region_contains(centralized, u)
+            assert centralized.contains(u)
         for _ in range(50):
             u = rng.choice(elements)
             bits = list(states_from_mask(u))
             keep = [s for s in bits if rng.random() < 0.7] or [rng.choice(bits)]
             sample = sum(1 << s for s in keep)
-            assert union_contains(factored, sample)
+            assert factored.contains(sample)
             v = sample
             for a, o in productivity_witness(centralized, m, sample):
                 v = support_post(m, v, a, o)
-                assert v and region_contains(centralized, v)
+                assert v and centralized.contains(v)
             assert v & ~m.reach_mask == 0
             witnesses += 1
     _report(4, "factored union inside centralized region",
@@ -189,8 +188,8 @@ def test_criterion_4_union_inside_centralized(obstacle6, obstacle6_region, obsta
 
 def test_criterion_5_straddling_support_gap(gap6, gap6_region, gap6_factored):
     u = gap6.support_from_names("g14")
-    assert region_contains(gap6_region, u)
-    assert not union_contains(gap6_factored, u)
+    assert gap6_region.contains(u)
+    assert not gap6_factored.contains(u)
     _report(5, "straddling support beyond the union", "{g14}")
 
 

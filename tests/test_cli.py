@@ -210,6 +210,14 @@ def test_plan_computes_region_when_omitted(workdir, capsys):
     assert "unsafe=0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode", ["backtrack", "factored-backtrack"])
+def test_plan_region_timeout_exit(workdir, capsys, mode):
+    rc = main(["plan", str(workdir / "world.pomdp"), "--mode", mode,
+               "--timeout", "1e-9", *PLAN_LITE])
+    assert rc == 3
+    assert "region computation exceeded" in capsys.readouterr().err
+
+
 def test_plan_region_kind_mismatch(workdir, capsys):
     rc = main(["plan", str(workdir / "world.pomdp"), "--mode", "factored-prior",
                "--region", str(workdir / "world.region"), *PLAN_LITE])

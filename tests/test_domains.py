@@ -10,7 +10,6 @@ from safepomcp import (
     gen_obstacle,
     gen_refuel,
     gen_rocksample,
-    region_contains,
     render_layout,
     serialize_model,
     states_from_mask,
@@ -175,7 +174,7 @@ def test_refuel_battery_flag_observation():
 def test_refuel_dry_corridor_unwinnable():
     m = gen_refuel(GridSpec(n=3, battery=1, stations=()))
     region = compute_winning_region(m)
-    assert not region_contains(region, m.init_support)
+    assert not region.contains(m.init_support)
 
 
 # -- rocksample ------------------------------------------------------------

@@ -11,22 +11,21 @@ from safepomcp import (
     RegionFileError,
     RegionMisuseError,
     RegionTimeout,
+    allowed_actions,
     build_support_graph,
     compute_winning_region,
     decompose,
     factored_elements_in_parent,
-    factored_witness,
+    make_pomdp,
     mask_from_states,
     model_hash,
     parse_factored,
+    productivity_witness,
     propagate_factored_regions,
-    region_contains,
     serialize_factored,
     states_from_mask,
     support_post,
     support_post_all,
-    union_allowed_actions,
-    union_contains,
 )
 
 
@@ -58,6 +57,33 @@ def test_decompose_outlet_ownership(obstacle6):
         obstacle6.state_names[s]: owner for s, owner in subs[0].outlets.items()
     }
     assert owners == {"g14": 1, "g15": 1, "g41": 2, "g51": 2}
+
+
+def test_decompose_ignores_negligible_exits():
+    # the only cross-room transition has probability 1e-15, below PROB_EPS;
+    # the support algebra drops it, so room A must have no outlet
+    m = make_pomdp(
+        states=["a", "goal", "b"],
+        actions=["go"],
+        observations=["o"],
+        transitions={
+            (0, 0): {1: 1.0 - 1e-15, 2: 1e-15},
+            (1, 0): {1: 1.0},
+            (2, 0): {2: 1.0},
+        },
+        obs_fn={(s, 0): {0: 1.0} for s in range(3)},
+        rewards={},
+        init={0: 0.5, 2: 0.5},
+        reach=[1],
+        avoid=[],
+        partition=["A", "A", "B"],
+    )
+    assert m._succ_masks[0] == 1 << 1
+    subs = decompose(m)
+    assert {sub.label: sub.outlets for sub in subs} == {"A": {}, "B": {}}
+    assert [sub.inlets for sub in subs] == [(), ()]
+    f = propagate_factored_regions(m, subs)
+    assert f.contains(1 << 0)
 
 
 def test_decompose_init_excludes_avoid_inlets(obstacle6):
@@ -139,7 +165,7 @@ def test_propagation_first_update_adds_goal_room_doors(obstacle6, obstacle6_fact
     goal_region = obstacle6_factored.region_of("q11")
     goal_sub = _sub(obstacle6_factored.subs, "q11")
     for s in from_goal_room:
-        assert region_contains(goal_region, 1 << goal_sub.from_parent[s])
+        assert goal_region.contains(1 << goal_sub.from_parent[s])
 
 
 def test_propagation_counters(obstacle6_factored):
@@ -194,7 +220,7 @@ def test_propagation_order_invariant(obstacle6, obstacle6_factored):
 
     assert summary(f2) == summary(obstacle6_factored)
     for u in factored_elements_in_parent(obstacle6_factored):
-        assert union_contains(f2, u)
+        assert f2.contains(u)
 
 
 def test_propagation_graph_cap(obstacle6):
@@ -219,8 +245,8 @@ def test_gap_world_first_room_reach(gap6, gap6_factored):
 
 def test_gap_world_union_misses_retreat_support(gap6, gap6_region, gap6_factored):
     u14 = gap6.support_from_names("g14")
-    assert not union_contains(gap6_factored, u14)
-    assert region_contains(gap6_region, u14)  # strictly smaller than centralized
+    assert not gap6_factored.contains(u14)
+    assert gap6_region.contains(u14)  # strictly smaller than centralized
 
 
 def test_union_subset_of_centralized(obstacle6, obstacle6_region, gap6, gap6_region,
@@ -228,15 +254,15 @@ def test_union_subset_of_centralized(obstacle6, obstacle6_region, gap6, gap6_reg
     for m, w, f in ((obstacle6, obstacle6_region, obstacle6_factored),
                     (gap6, gap6_region, gap6_factored)):
         for u in factored_elements_in_parent(f):
-            assert region_contains(w, u)
+            assert w.contains(u)
 
 
 # -- union queries ---------------------------------------------------------
 
 
 def test_union_contains_in_room_support(obstacle6, obstacle6_factored):
-    assert union_contains(obstacle6_factored, obstacle6.support_from_names("g11"))
-    assert union_contains(obstacle6_factored, obstacle6.support_from_names("g12 g13"))
+    assert obstacle6_factored.contains(obstacle6.support_from_names("g11"))
+    assert obstacle6_factored.contains(obstacle6.support_from_names("g12 g13"))
 
 
 def test_union_membership_matches_per_room_check(obstacle6, obstacle6_factored):
@@ -250,30 +276,30 @@ def test_union_membership_matches_per_room_check(obstacle6, obstacle6_factored):
         expected = any(
             u & ~sub.extended_parent_mask == 0
             and reg.elements
-            and region_contains(reg, sub.to_sub_mask(u))
+            and reg.contains(sub.to_sub_mask(u))
             for sub, reg in zip(obstacle6_factored.subs, obstacle6_factored.regions)
         )
-        assert union_contains(obstacle6_factored, u) == expected
+        assert obstacle6_factored.contains(u) == expected
 
 
 def test_union_rejects_empty_support(obstacle6_factored):
     with pytest.raises(ValueError):
-        union_contains(obstacle6_factored, 0)
+        obstacle6_factored.contains(0)
 
 
 def test_union_allowed_actions_step_closed(obstacle6, obstacle6_factored):
     u = obstacle6.support_from_names("g12 g13")
-    acts = union_allowed_actions(obstacle6_factored, obstacle6, u)
+    acts = allowed_actions(obstacle6_factored, obstacle6, u)
     assert acts
     assert obstacle6.action_id["east"] not in acts
     for a in acts:
         for _, v in support_post_all(obstacle6, u, a):
-            assert union_contains(obstacle6_factored, v)
+            assert obstacle6_factored.contains(v)
 
 
 def test_union_allowed_actions_raises_outside(obstacle6, obstacle6_factored):
     with pytest.raises(RegionMisuseError):
-        union_allowed_actions(
+        allowed_actions(
             obstacle6_factored, obstacle6, 1 << obstacle6.state_id["g15"]
         )
 
@@ -281,13 +307,13 @@ def test_union_allowed_actions_raises_outside(obstacle6, obstacle6_factored):
 def test_factored_witness_replays(obstacle6, obstacle6_factored):
     elements = factored_elements_in_parent(obstacle6_factored)
     for u in elements[:: max(1, len(elements) // 25)]:
-        path = factored_witness(obstacle6_factored, obstacle6, u)
+        path = productivity_witness(obstacle6_factored, obstacle6, u)
         v = u
         for a, o in path:
-            assert a in union_allowed_actions(obstacle6_factored, obstacle6, v)
+            assert a in allowed_actions(obstacle6_factored, obstacle6, v)
             v = support_post(obstacle6, v, a, o)
             assert v != 0
-            assert union_contains(obstacle6_factored, v)
+            assert obstacle6_factored.contains(v)
         assert v & ~obstacle6.reach_mask == 0
 
 
@@ -308,7 +334,7 @@ def test_factored_file_round_trip(obstacle6, obstacle6_factored):
     for sa, sb in zip(again.subs, obstacle6_factored.subs):
         assert sa.reach_states == sb.reach_states
     for u in factored_elements_in_parent(obstacle6_factored):
-        assert union_contains(again, u)
+        assert again.contains(u)
 
 
 def test_factored_file_hash_mismatch(obstacle6, gap6, obstacle6_factored):

@@ -217,6 +217,21 @@ def test_obtain_region_factored_cache(tmp_path, tiny3):
     ]
 
 
+@pytest.mark.parametrize("family", ["centralized", "factored"])
+def test_obtain_region_recomputes_broken_cache(tmp_path, tiny3, family):
+    path = tmp_path / f"{model_hash(tiny3)}.{family}.region"
+    good = obtain_region(tiny3, family, str(tmp_path), None)
+    text = path.read_text()
+    # cut inside the first state name of the first region element
+    path.write_text(text[: text.index("\nW ") + 4])
+    build = obtain_region(tiny3, family, str(tmp_path), None)
+    assert not build.cached and not build.timed_out
+    assert path.read_text() == text
+    assert obtain_region(tiny3, family, str(tmp_path), None).cached
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+    assert type(build.region) is type(good.region)
+
+
 def test_obtain_region_timeout(tmp_path, tiny3):
     build = obtain_region(tiny3, "centralized", str(tmp_path), 0.0)
     assert build.timed_out

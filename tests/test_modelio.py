@@ -141,6 +141,21 @@ def test_equal_models_serialize_identically(obstacle6):
     assert model_hash(other) == model_hash(obstacle6)
 
 
+def test_hash_serializes_the_model_once(monkeypatch):
+    from safepomcp import modelio
+
+    calls = []
+    original = modelio.serialize_model
+    monkeypatch.setattr(
+        modelio, "serialize_model", lambda m: calls.append(m) or original(m)
+    )
+    m = gen_obstacle(GridSpec(n=4))
+    first = model_hash(m)
+    assert model_hash(m) == first
+    assert len(calls) == 1
+    assert first == model_hash(gen_obstacle(GridSpec(n=4)))
+
+
 def test_hash_sensitive_to_parameters(obstacle6):
     assert model_hash(gen_obstacle(GridSpec(slip=0.25))) != model_hash(obstacle6)
     assert model_hash(gen_obstacle(GridSpec(obs_noise=0.2))) != model_hash(obstacle6)

@@ -19,7 +19,7 @@ from safepomcp import (
 from safepomcp.model import support_post_all
 from safepomcp.modelio import model_hash
 from safepomcp.pomcp import ActionEdge
-from safepomcp.winning import Spec, WinningRegion, region_contains
+from safepomcp.winning import Spec, WinningRegion
 
 
 def _ctx(m, region):
@@ -105,7 +105,7 @@ def test_context_backtracking_flag(obstacle6, obstacle6_region, obstacle6_factor
 def test_context_contains_delegates(obstacle6, obstacle6_region, obstacle6_factored):
     u = obstacle6.support_from_names("g12 g13")
     cen = _ctx(obstacle6, obstacle6_region)
-    assert cen.contains(u) == region_contains(obstacle6_region, u)
+    assert cen.contains(u) == obstacle6_region.contains(u)
     assert cen.queries == 1
     fac = ShieldContext(ShieldMode.FACTORED_PRIOR, obstacle6, obstacle6_factored)
     assert fac.contains(u)
@@ -188,7 +188,7 @@ def test_prior_prune_counters(obstacle6, obstacle6_region):
     for a in range(obstacle6.n_actions):
         for _o, mask in support_post_all(obstacle6, root.support, a):
             expected_queries += 1
-            if not region_contains(obstacle6_region, mask):
+            if not obstacle6_region.contains(mask):
                 break
     assert ctx.root_pruned == 1
     assert ctx.sim_pruned == 0

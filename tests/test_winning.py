@@ -26,7 +26,6 @@ from safepomcp import (
     parse_region,
     powerset_supports,
     productivity_witness,
-    region_contains,
     serialize_region,
     states_from_mask,
     support_post,
@@ -90,7 +89,7 @@ def test_graph_deterministic(obstacle6):
 
 
 def test_graph_vertex_cap(obstacle6):
-    with pytest.raises(GraphCapExceeded, match="factored"):
+    with pytest.raises(GraphCapExceeded, match="exceeded 3 vertices"):
         build_support_graph(obstacle6, [obstacle6.init_support], max_vertices=3)
 
 
@@ -109,8 +108,8 @@ def test_region_trivial_when_seeds_are_goals(bandit):
     w = compute_winning_region(
         bandit, Spec.of(bandit, reach=[1, 2], avoid=[]), seeds=[good, bad]
     )
-    assert region_contains(w, good)
-    assert region_contains(w, bad)
+    assert w.contains(good)
+    assert w.contains(bad)
 
 
 def test_region_deterministic(obstacle6, obstacle6_region):
@@ -121,7 +120,7 @@ def test_region_deterministic(obstacle6, obstacle6_region):
 
 def test_gap_world_retreat_support_is_winning(gap6, gap6_region):
     u14 = gap6.support_from_names("g14")
-    assert region_contains(gap6_region, u14)
+    assert gap6_region.contains(u14)
 
 
 def test_gap_world_retreat_trajectory_realizable(gap6, gap6_region):
@@ -146,7 +145,7 @@ def test_gap_world_retreat_trajectory_realizable(gap6, gap6_region):
 def test_tiny_world_region_matches_brute_force(tiny3, tiny3_region, tiny3_oracle):
     for u in powerset_supports(range(tiny3.n_states)):
         expected = _mask_to_set(u) in tiny3_oracle
-        assert region_contains(tiny3_region, u) == expected, tiny3.names_from_mask(u)
+        assert tiny3_region.contains(u) == expected, tiny3.names_from_mask(u)
 
 
 @given(data=st.data())
@@ -165,7 +164,7 @@ def test_region_matches_brute_force_on_random_models(data):
         assert _mask_to_set(e) in oracle  # antichain elements are survivors
     for u in powerset_supports(range(m.n_states)):
         expected = any(u & ~wm == 0 for wm in masks)
-        assert region_contains(w, u) == expected
+        assert w.contains(u) == expected
 
 
 def test_region_monotone_in_reach(tiny3):
@@ -176,7 +175,7 @@ def test_region_monotone_in_reach(tiny3):
     )
     wider = compute_winning_region(tiny3, wider_spec, seeds=seeds)
     for u in base.elements:
-        assert region_contains(wider, u)
+        assert wider.contains(u)
 
 
 def test_region_timeout(obstacle6):
@@ -205,7 +204,7 @@ def test_empty_region_is_valid_result():
     )
     w = compute_winning_region(m)
     assert w.elements == ()
-    assert not region_contains(w, m.init_support)
+    assert not w.contains(m.init_support)
 
 
 # -- membership ------------------------------------------------------------
@@ -213,25 +212,25 @@ def test_empty_region_is_valid_result():
 
 def test_contains_antichain_element(obstacle6_region):
     u = obstacle6_region.elements[0]
-    assert region_contains(obstacle6_region, u)
+    assert obstacle6_region.contains(u)
 
 
 def test_contains_subsets_not_supersets(obstacle6, obstacle6_region):
     u = max(obstacle6_region.elements, key=lambda x: x.bit_count())
     low = 1 << states_from_mask(u)[0]
-    assert region_contains(obstacle6_region, low)
+    assert obstacle6_region.contains(low)
     outside = u | 1 << obstacle6.state_id["g15"]
-    assert not region_contains(obstacle6_region, outside)
+    assert not obstacle6_region.contains(outside)
 
 
 def test_contains_rejects_avoid_touching_support(obstacle6, obstacle6_region):
     u = obstacle6.support_from_names("g13 g14 g15")
-    assert not region_contains(obstacle6_region, u)
+    assert not obstacle6_region.contains(u)
 
 
 def test_contains_rejects_empty_support(obstacle6_region):
     with pytest.raises(ValueError):
-        region_contains(obstacle6_region, 0)
+        obstacle6_region.contains(0)
 
 
 def test_region_elements_avoid_free(obstacle6, obstacle6_region):
@@ -264,7 +263,7 @@ def test_allowed_matches_per_action_filter(obstacle6, obstacle6_region):
         a
         for a in range(obstacle6.n_actions)
         if all(
-            region_contains(obstacle6_region, v)
+            obstacle6_region.contains(v)
             for _, v in support_post_all(obstacle6, u, a)
         )
     )
@@ -289,7 +288,7 @@ def test_step_closure_property(data, obstacle6, obstacle6_region):
         return
     a = data.draw(st.sampled_from(acts))
     for _, v in support_post_all(obstacle6, u, a):
-        assert region_contains(obstacle6_region, v)
+        assert obstacle6_region.contains(v)
 
 
 @given(data=st.data())
@@ -297,7 +296,7 @@ def test_downward_closure_property(data, obstacle6_region):
     u = data.draw(st.sampled_from(obstacle6_region.elements))
     states = states_from_mask(u)
     sub = data.draw(st.sets(st.sampled_from(states), min_size=1))
-    assert region_contains(obstacle6_region, mask_from_states(sub))
+    assert obstacle6_region.contains(mask_from_states(sub))
 
 
 # -- productivity witnesses ------------------------------------------------
@@ -309,7 +308,7 @@ def _replay_witness(m, w, u, path):
         assert a in allowed_actions(w, m, v)
         v2 = support_post(m, v, a, o)
         assert v2 != 0
-        assert region_contains(w, v2)
+        assert w.contains(v2)
         v = v2
     assert v & ~w.spec.reach_mask == 0
 
