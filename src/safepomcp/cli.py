@@ -7,8 +7,9 @@ an experiment grid from a YAML config and prints the aggregate table,
 ``check`` re-validates a region file against a model (step closure plus
 productivity-witness replay).
 
-Exit codes: 0 success, 2 invalid input or configuration, 3 region
-computation timeout, 4 safety assertion failure during an episode.
+Exit codes: 0 success, 2 invalid input or configuration (a support graph
+over its vertex cap or out of memory included), 3 region computation
+timeout, 4 safety assertion failure during an episode.
 """
 
 from __future__ import annotations
@@ -41,12 +42,14 @@ from .harness import (
     obtain_region,
     run_episode,
     run_experiment,
+    write_text_atomic,
 )
 from .model import ModelError, Pomdp, support_post
 from .modelio import dump_model, load_model
 from .pomcp import PlannerConfig
 from .shield import SafetyViolation, ShieldMode
 from .winning import (
+    GraphCapExceeded,
     RegionFileError,
     RegionMisuseError,
     RegionTimeout,
@@ -124,7 +127,7 @@ def _cmd_region(args) -> int:
         text = serialize_region(region, m)
         n_elems = len(region.elements)
         kind = "centralized"
-    Path(args.output).write_text(text)
+    write_text_atomic(Path(args.output), text)
     print(
         f"wrote {args.output}: {kind}, {n_elems} antichain elements "
         f"in {time.perf_counter() - t0:.2f}s"
@@ -404,7 +407,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 4
     except (
         ModelError, RegionFileError, RegionMisuseError, WitnessError,
-        UnwinningStartError, ValueError, OSError, yaml.YAMLError,
+        UnwinningStartError, GraphCapExceeded, ValueError, OSError,
+        yaml.YAMLError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

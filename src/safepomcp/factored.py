@@ -290,10 +290,9 @@ def propagate_factored_regions(
     cap = max_vertices if max_vertices is not None else DEFAULT_VERTEX_CAP
     parent_masks: tuple[int, ...] = ()
     if not powerset_seeds:
-        parent_graph = build_support_graph(
+        parent_masks = build_support_graph(
             m, [m.init_support], max_vertices=cap, deadline=deadline
-        )
-        parent_masks = parent_graph.vertices
+        ).vertices
     for sub in subs:
         if spec is not None:
             ext = states_from_mask(sub.extended_parent_mask)

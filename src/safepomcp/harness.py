@@ -247,6 +247,20 @@ class RegionBuild:
     timed_out: bool = False
 
 
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` under a per-process temporary name in the
+    same directory and rename it into place, so no reader sees a
+    half-written file; on failure the temporary file is removed and an
+    existing ``path`` is left as it was."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def obtain_region(
     m: Pomdp,
     family: str,
@@ -256,11 +270,10 @@ def obtain_region(
     """Load a region from the cache or compute and store it.
 
     ``family`` is "centralized" or "factored".  A cache file that fails to
-    parse is recomputed and overwritten.  Files are written under a
-    per-process temporary name in the cache directory and renamed into
-    place, so no reader sees a half-written file.  A timeout yields a build with ``region=None`` and
-    ``timed_out=True``; experiment cells needing it are then reported as
-    "-" rather than failing the whole run.
+    parse is recomputed and overwritten; files are stored with
+    ``write_text_atomic``.  A timeout yields a build with ``region=None``
+    and ``timed_out=True``; experiment cells needing it are then reported
+    as "-" rather than failing the whole run.
     """
     path = None
     if cache_dir is not None:
@@ -292,9 +305,7 @@ def obtain_region(
             else serialize_region(region, m)
         )
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        write_text_atomic(path, text)
     return RegionBuild(family, region, seconds, False)
 
 

@@ -85,6 +85,50 @@ def brute_force_winning(m: Pomdp) -> set[frozenset[int]]:
         W = productive
 
 
+def round_winning_masks(graph, spec) -> frozenset[int]:
+    """The support-graph fixpoint computed round by round, as a reference.
+
+    Each round rebuilds, from ``graph.edges``, the actions allowed under the
+    current candidate set and the reverse graph of allowed branches, then
+    keeps goals plus the candidates that reach a goal through allowed
+    branches, until the candidate set is stable.  Candidates start as the
+    avoid-free vertices; goals are candidates inside the reach set.
+    """
+    verts = graph.vertices
+    index = graph.index
+    n = len(verts)
+    in_c = [(u & spec.avoid_mask) == 0 for u in verts]
+    goal = [in_c[i] and (verts[i] & ~spec.reach_mask) == 0 for i in range(n)]
+    edges = [graph.edges[i] for i in range(n)]
+    while True:
+        allow: list[list[int] | None] = [None] * n
+        for i in range(n):
+            if in_c[i] and not goal[i]:
+                acts = [
+                    a for a, branches in enumerate(edges[i])
+                    if all(in_c[index[v]] for _, v in branches)
+                ]
+                allow[i] = acts or None
+        rev: list[list[int]] = [[] for _ in range(n)]
+        for i in range(n):
+            for a in allow[i] or ():
+                for _, v in edges[i][a]:
+                    rev[index[v]].append(i)
+        reached = list(goal)
+        stack = [i for i in range(n) if goal[i]]
+        while stack:
+            for i in rev[stack.pop()]:
+                if not reached[i]:
+                    reached[i] = True
+                    stack.append(i)
+        new_c = [
+            goal[i] or (reached[i] and allow[i] is not None) for i in range(n)
+        ]
+        if new_c == in_c:
+            return frozenset(verts[i] for i in range(n) if in_c[i])
+        in_c = new_c
+
+
 def horizon_values(m: Pomdp, horizon: int) -> list[float]:
     """Optimal finite-horizon undiscounted values of the fully observed MDP."""
     na = m.n_actions

@@ -84,3 +84,10 @@ def test_run_episode_calls_patched_names(monkeypatch, tiny3, tiny3_region):
     harness.run_episode(tiny3, tiny3_region, shield.ShieldMode.CENTRALIZED_PRIOR,
                         cfg, 3, seed=0)
     assert seen == {"plan_step", "advance_root", "prior_prune", "sample_step"}
+
+
+def test_graph_stats_expression_counts_branches(obstacle6):
+    """``perfbench/layers.py`` counts branches through ``edges``."""
+    g = winning.build_support_graph(obstacle6, [obstacle6.init_support])
+    branches = sum(len(b) for per_action in g.edges for b in per_action)
+    assert branches == len(g.succ) > len(g.vertices)

@@ -1,10 +1,16 @@
 """End-to-end command-line flows: generate, region, check, plan, bench."""
 
+import functools
 import textwrap
 
 import pytest
 
-from safepomcp import SafetyViolation, make_pomdp
+from safepomcp import (
+    SafetyViolation,
+    compute_winning_region,
+    make_pomdp,
+    propagate_factored_regions,
+)
 from safepomcp.cli import load_bench_config, main
 from safepomcp.modelio import dump_model, model_hash
 
@@ -90,6 +96,42 @@ def test_region_timeout_exit(workdir, tmp_path, capsys):
                "-o", str(tmp_path / "w.region")])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["centralized", "factored"])
+def test_region_graph_cap_exit(workdir, tmp_path, capsys, monkeypatch, kind):
+    if kind == "factored":
+        monkeypatch.setattr(
+            "safepomcp.cli.propagate_factored_regions",
+            functools.partial(propagate_factored_regions, max_vertices=3),
+        )
+    else:
+        monkeypatch.setattr(
+            "safepomcp.cli.compute_winning_region",
+            functools.partial(compute_winning_region, max_vertices=3),
+        )
+    extra = ["--factored"] if kind == "factored" else []
+    rc = main(["region", str(workdir / "world.pomdp"), *extra,
+               "-o", str(tmp_path / "w.region")])
+    assert rc == 2
+    assert "exceeded 3 vertices" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_region_output_kept_when_rename_fails(workdir, tmp_path, capsys,
+                                              monkeypatch):
+    out = tmp_path / "w.region"
+    out.write_text("previous region\n")
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr("safepomcp.harness.os.replace", fail)
+    rc = main(["region", str(workdir / "world.pomdp"), "-o", str(out)])
+    assert rc == 2
+    assert "rename failed" in capsys.readouterr().err
+    assert out.read_text() == "previous region\n"
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_region_bad_model_file(tmp_path, capsys):

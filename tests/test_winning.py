@@ -30,9 +30,11 @@ from safepomcp import (
     states_from_mask,
     support_post,
     support_post_all,
+    winning,
+    winning_masks,
 )
 
-from oracles import brute_force_winning
+from oracles import brute_force_winning, round_winning_masks
 
 
 def _mask_to_set(mask):
@@ -100,6 +102,70 @@ def test_graph_rejects_empty_seeds(obstacle6):
         build_support_graph(obstacle6, [0])
 
 
+def _assert_graph_layout(m, g):
+    """The id arrays describe exactly the branches of support_post_all."""
+    n, na = len(g.vertices), m.n_actions
+    assert g.n_actions == na
+    assert len(g.slot_start) == n * na + 1 and g.slot_start[0] == 0
+    assert len(g.succ) == len(g.obs) == g.slot_start[-1]
+    # every slot is non-empty, so slot offsets strictly increase
+    assert all(x < y for x, y in zip(g.slot_start, g.slot_start[1:]))
+    assert len(g.pred_start) == n + 1 and g.pred_start[0] == 0
+    assert all(x <= y for x, y in zip(g.pred_start, g.pred_start[1:]))
+    assert g.pred_start[-1] == len(g.pred_slots)
+    into = sorted(
+        (g.succ[b], k)
+        for k in range(n * na)
+        for b in range(g.slot_start[k], g.slot_start[k + 1])
+    )
+    listed = sorted(
+        (v, k)
+        for v in range(n)
+        for k in g.pred_slots[g.pred_start[v]:g.pred_start[v + 1]]
+    )
+    assert into == listed
+    assert len(g.edges) == n
+    for vi, u in enumerate(g.vertices):
+        for a in range(na):
+            assert g.edges[vi][a] == tuple(support_post_all(m, u, a))
+
+
+def test_graph_layout_invariants(obstacle6):
+    _assert_graph_layout(
+        obstacle6, build_support_graph(obstacle6, [obstacle6.init_support])
+    )
+
+
+@given(data=st.data())
+def test_graph_layout_invariants_on_random_models(data):
+    from strategies import small_pomdps
+
+    m = data.draw(small_pomdps())
+    _assert_graph_layout(
+        m, build_support_graph(m, powerset_supports(range(m.n_states)))
+    )
+
+
+def test_graph_out_of_memory_is_typed(obstacle6, monkeypatch):
+    seen = {obstacle6.init_support}
+    calls = []
+
+    def exhausted_after_40(m, u, a):
+        if len(calls) == 40:
+            raise MemoryError
+        calls.append(a)
+        out = support_post_all(m, u, a)
+        seen.update(v for _, v in out)
+        return out
+
+    monkeypatch.setattr(winning, "support_post_all", exhausted_after_40)
+    with pytest.raises(GraphCapExceeded) as err:
+        build_support_graph(obstacle6, [obstacle6.init_support])
+    assert str(err.value) == (
+        f"support graph ran out of memory at {len(seen)} vertices"
+    )
+
+
 # -- winning region --------------------------------------------------------
 
 
@@ -165,6 +231,41 @@ def test_region_matches_brute_force_on_random_models(data):
     for u in powerset_supports(range(m.n_states)):
         expected = any(u & ~wm == 0 for wm in masks)
         assert w.contains(u) == expected
+
+
+@given(data=st.data())
+def test_fixpoint_matches_round_reference_on_random_models(data):
+    from strategies import small_pomdps
+
+    m = data.draw(small_pomdps())
+    g = build_support_graph(m, powerset_supports(range(m.n_states)))
+    spec = Spec.of(m)
+    assert winning_masks(g, spec) == round_winning_masks(g, spec)
+
+
+def test_fixpoint_matches_round_reference_on_revised_reach(
+    obstacle6, obstacle6_factored
+):
+    # the reach revisions of factored propagation: room goals plus a
+    # growing set of door outlets, which are absorbing inside a room
+    checked = 0
+    for sub in obstacle6_factored.subs:
+        seeds = [1 << sub.from_parent[s] for s in sub.init_states]
+        if not seeds:
+            continue
+        g = build_support_graph(sub.pomdp, seeds)
+        reach = set(sub.initial_reach)
+        doors = [s for s in sub.outlets if s not in sub.avoid_states]
+        for outlet in [None, *doors]:
+            if outlet is not None:
+                reach.add(outlet)
+            spec = Spec(
+                sub.to_sub_mask(mask_from_states(reach)),
+                sub.to_sub_mask(mask_from_states(sub.avoid_states)),
+            )
+            assert winning_masks(g, spec) == round_winning_masks(g, spec)
+            checked += 1
+    assert checked > len(obstacle6_factored.subs)
 
 
 def test_region_monotone_in_reach(tiny3):
