@@ -17,9 +17,11 @@ elements have no action that keeps every branch inside it, from one more no
 goal is reachable, and 352 of its 868 elements lie outside the centralized
 region.
 
-Membership of the union, like centralized membership, is downward closed;
-``FactoredRegion.contains`` answers it with the same interface as
-``WinningRegion.contains``.
+Membership of the union, like centralized membership, is downward closed.
+``FactoredRegion.contains`` answers it with the same interface and the same
+per-state index as ``WinningRegion.contains``, built over every room
+element mapped to parent ids: a support inside such an element is inside
+that room's extended states, so no room needs to be picked first.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .model import (
@@ -46,6 +49,8 @@ from .winning import (
     antichain,
     build_support_graph,
     compute_winning_region,
+    covered,
+    holders_index,
 )
 
 
@@ -215,7 +220,8 @@ class FactoredRegion:
     """Per-submodel winning regions, queried as their union.
 
     ``spec`` is the full-model objective in parent ids; the per-submodel
-    regions carry their own local objectives.
+    regions carry their own local objectives.  Membership is indexed on
+    the first query, so ``subs`` and ``regions`` must not change after it.
     """
 
     subs: list[Submodel]
@@ -225,16 +231,23 @@ class FactoredRegion:
     queue_pushes: int = 0
     recomputes: int = 0
 
+    def parent_elements(self) -> list[int]:
+        """Every submodel's antichain elements, mapped to parent ids."""
+        return [
+            sub.to_parent_mask(e)
+            for sub, reg in zip(self.subs, self.regions)
+            for e in reg.elements
+        ]
+
+    @cached_property
+    def _index(self) -> tuple[int, ...]:
+        return holders_index(self.parent_elements())
+
     def contains(self, u: int) -> bool:
-        """True when some submodel covers the support and accepts it."""
+        """True when some submodel's region element holds the support."""
         if u == 0:
             raise ValueError("membership query on an empty support")
-        for sub, reg in zip(self.subs, self.regions):
-            if u & ~sub.extended_parent_mask:
-                continue
-            if reg.elements and reg.contains(sub.to_sub_mask(u)):
-                return True
-        return False
+        return covered(self._index, u)
 
     def region_of(self, label: str) -> WinningRegion:
         for sub, reg in zip(self.subs, self.regions):
@@ -357,7 +370,7 @@ def propagate_factored_regions(
             if s in subs[j].avoid_states:
                 continue
             singleton = 1 << subs[j].from_parent[s]
-            if regions[j].elements and regions[j].contains(singleton):
+            if regions[j].contains(singleton):
                 sub.reach_states.add(s)
                 grew = True
         if grew:
@@ -378,11 +391,7 @@ def propagate_factored_regions(
 
 def factored_elements_in_parent(f: FactoredRegion) -> tuple[int, ...]:
     """Antichain over parent ids of all per-submodel antichain elements."""
-    elems = []
-    for sub, reg in zip(f.subs, f.regions):
-        for e in reg.elements:
-            elems.append(sub.to_parent_mask(e))
-    return antichain(elems)
+    return antichain(f.parent_elements())
 
 
 # -- factored region files ---------------------------------------------------

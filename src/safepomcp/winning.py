@@ -24,7 +24,10 @@ set:
 4. the region is the antichain of maximal survivors.  Membership of an
    arbitrary support is subset-of-some-element (downward closure), which is
    sound because restricting a winning support can only shrink its branch
-   supports.
+   supports.  It is answered from a per-state index of the antichain
+   (``holders_index``): ANDing the entries of u's states leaves the
+   elements that hold all of u (``covered``), one AND per state of u rather
+   than one subset test per element.
 
 Everything is deterministic: vertex order is first-discovery order from
 sorted seeds, and iteration order is by ids throughout.
@@ -305,13 +308,57 @@ def winning_masks(
     return frozenset(verts[i] for i in range(n) if in_c[i])
 
 
+def _hold(index: list[int], i: int, u: int) -> None:
+    """Record element ``i`` (support ``u``) in a growing holders index."""
+    short = u.bit_length() - len(index)
+    if short > 0:
+        index.extend([0] * short)
+    bit = 1 << i
+    for s in states_from_mask(u):
+        index[s] |= bit
+
+
+def holders_index(elements: Sequence[int]) -> tuple[int, ...]:
+    """Per-state index of a family of supports, for ``covered``.
+
+    Entry ``s`` has bit ``i`` set when ``elements[i]`` holds state ``s``; the
+    table ends at the highest state any element holds.
+    """
+    index: list[int] = []
+    for i, u in enumerate(elements):
+        _hold(index, i, u)
+    return tuple(index)
+
+
+def covered(index: Sequence[int], u: int) -> bool:
+    """True when some element of the indexed family is a superset of ``u``.
+
+    ``u`` must be non-empty.  The cost is one AND per state of ``u``, and
+    the search stops as soon as no element holds all states seen so far.
+    """
+    if u >> len(index):
+        return False
+    holders = -1  # all bits set: every element, before any state is seen
+    while u:
+        low = u & -u
+        holders &= index[low.bit_length() - 1]
+        if not holders:
+            return False
+        u ^= low
+    return True
+
+
 def antichain(masks: Iterable[int]) -> tuple[int, ...]:
     """Maximal elements of a family of supports, largest first."""
     ordered = sorted(set(masks), key=lambda u: (-u.bit_count(), u))
     kept: list[int] = []
+    index: list[int] = []
     for u in ordered:
-        if not any(u & ~k == 0 for k in kept):
-            kept.append(u)
+        # An empty support comes last and is maximal only on its own.
+        if kept and covered(index, u):
+            continue
+        _hold(index, len(kept), u)
+        kept.append(u)
     return tuple(kept)
 
 
@@ -329,17 +376,14 @@ class WinningRegion:
                 raise ValueError("winning region element intersects avoid")
 
     @cached_property
-    def _complements(self) -> tuple[int, ...]:
-        return tuple(~u for u in self.elements)
+    def _index(self) -> tuple[int, ...]:
+        return holders_index(self.elements)
 
     def contains(self, u: int) -> bool:
         """Downward-closure membership: u is a subset of some antichain element."""
         if u == 0:
             raise ValueError("membership query on an empty support")
-        for comp in self._complements:
-            if u & comp == 0:
-                return True
-        return False
+        return covered(self._index, u)
 
 
 class Region(Protocol):

@@ -129,6 +129,40 @@ def round_winning_masks(graph, spec) -> frozenset[int]:
         in_c = new_c
 
 
+def scan_contains(elements, u: int) -> bool:
+    """Downward-closure membership by one complement test per element."""
+    if u == 0:
+        raise ValueError("membership query on an empty support")
+    for comp in tuple(~e for e in elements):
+        if u & comp == 0:
+            return True
+    return False
+
+
+def room_union_contains(f, u: int) -> bool:
+    """Factored membership room by room: a room whose extended states hold
+    the support answers for it, in its own sub-ids."""
+    if u == 0:
+        raise ValueError("membership query on an empty support")
+    for sub, reg in zip(f.subs, f.regions):
+        if u & ~sub.extended_parent_mask:
+            continue
+        if reg.elements and scan_contains(reg.elements, sub.to_sub_mask(u)):
+            return True
+    return False
+
+
+def pairwise_antichain(masks) -> tuple[int, ...]:
+    """Maximal elements, largest first, by a subset test against each
+    element kept so far."""
+    ordered = sorted(set(masks), key=lambda u: (-u.bit_count(), u))
+    kept: list[int] = []
+    for u in ordered:
+        if not any(u & ~k == 0 for k in kept):
+            kept.append(u)
+    return tuple(kept)
+
+
 def horizon_values(m: Pomdp, horizon: int) -> list[float]:
     """Optimal finite-horizon undiscounted values of the fully observed MDP."""
     na = m.n_actions

@@ -40,6 +40,8 @@ from safepomcp.winning import (
     productivity_witness,
 )
 
+pytestmark = pytest.mark.acceptance
+
 CAP = 200
 SHIELDED = (
     ShieldMode.CENTRALIZED_PRIOR,

@@ -16,6 +16,8 @@ from safepomcp import (
     compute_winning_region,
     decompose,
     factored_elements_in_parent,
+    gen_obstacle,
+    GridSpec,
     make_pomdp,
     mask_from_states,
     model_hash,
@@ -27,6 +29,8 @@ from safepomcp import (
     support_post,
     support_post_all,
 )
+
+from oracles import room_union_contains
 
 
 def _names(m, ids):
@@ -280,6 +284,20 @@ def test_union_membership_matches_per_room_check(obstacle6, obstacle6_factored):
             for sub, reg in zip(obstacle6_factored.subs, obstacle6_factored.regions)
         )
         assert obstacle6_factored.contains(u) == expected
+
+
+@pytest.mark.parametrize("world", ["obstacle4", "obstacle6", "gap6"])
+def test_union_membership_matches_room_loop_on_graph_vertices(world, request):
+    m = (
+        gen_obstacle(GridSpec(n=4)) if world == "obstacle4"
+        else request.getfixturevalue(world)
+    )
+    f = propagate_factored_regions(m, decompose(m))
+    rebuilt = parse_factored(serialize_factored(f, m), m)
+    for u in build_support_graph(m, [m.init_support]).vertices:
+        expected = room_union_contains(f, u)
+        assert f.contains(u) == expected
+        assert rebuilt.contains(u) == room_union_contains(rebuilt, u) == expected
 
 
 def test_union_rejects_empty_support(obstacle6_factored):

@@ -8,12 +8,14 @@ import statistics
 import pytest
 
 from safepomcp import (
+    FactoredRegion,
     GridSpec,
     PlannerConfig,
     ShieldMode,
     compute_winning_region,
     gen_refuel,
     make_pomdp,
+    WinningRegion,
 )
 from safepomcp.harness import (
     CSV_COLUMNS,
@@ -28,6 +30,8 @@ from safepomcp.harness import (
     run_experiment,
 )
 from safepomcp.modelio import dump_model, model_hash
+
+from oracles import room_union_contains, scan_contains
 
 LITE = PlannerConfig(simulations=200, depth=50, particles=200)
 TINY = PlannerConfig(simulations=60, depth=20, particles=64)
@@ -88,6 +92,22 @@ def test_episode_backtracking_rescues_crashing_seed(obstacle6, obstacle6_region)
     met = run_episode(obstacle6, obstacle6_region, OTF, LITE, 60, 14)
     assert met.unsafe == 0
     assert met.reached
+
+
+@pytest.mark.parametrize("mode", [OTF, ShieldMode.FACTORED_ON_THE_FLY])
+def test_episode_same_with_scanned_membership(
+    obstacle6, obstacle6_region, obstacle6_factored, mode, monkeypatch
+):
+    region = obstacle6_factored if mode.factored else obstacle6_region
+    seeds = (3, 14)
+    indexed = [run_episode(obstacle6, region, mode, LITE, 20, s) for s in seeds]
+    monkeypatch.setattr(
+        WinningRegion, "contains", lambda w, u: scan_contains(w.elements, u)
+    )
+    monkeypatch.setattr(FactoredRegion, "contains", room_union_contains)
+    scanned = [run_episode(obstacle6, region, mode, LITE, 20, s) for s in seeds]
+    assert scanned == indexed
+    assert all(met.shield_stats.queries > 0 for met in indexed)
 
 
 def test_episode_step_cap(obstacle6):

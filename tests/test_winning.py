@@ -3,7 +3,7 @@
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from safepomcp import (
@@ -34,7 +34,12 @@ from safepomcp import (
     winning_masks,
 )
 
-from oracles import brute_force_winning, round_winning_masks
+from oracles import (
+    brute_force_winning,
+    pairwise_antichain,
+    round_winning_masks,
+    scan_contains,
+)
 
 
 def _mask_to_set(mask):
@@ -334,6 +339,39 @@ def test_contains_rejects_empty_support(obstacle6_region):
         obstacle6_region.contains(0)
 
 
+# Families over states 0-9, queried on states 0-13: queries may hold states
+# past the highest one any element holds.
+_families = st.lists(st.integers(min_value=1, max_value=(1 << 10) - 1), max_size=12)
+_queries = st.lists(
+    st.one_of(
+        st.integers(min_value=0, max_value=13).map(lambda s: 1 << s),
+        st.integers(min_value=1, max_value=(1 << 14) - 1),
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
+@given(elements=_families, queries=_queries)
+@example(elements=[], queries=[1, 1 << 9, 1 << 13])
+@example(elements=[1 << 3, 0b0110], queries=[1 << 3, 0b0100, 0b1000, 1 << 12])
+def test_contains_matches_scan_on_random_families(elements, queries):
+    w = WinningRegion(tuple(elements), Spec(0, 0), "h")
+    index = winning.holders_index(elements)
+    for u in queries:
+        expected = scan_contains(elements, u)
+        assert w.contains(u) == expected
+        assert winning.covered(index, u) == expected
+
+
+@pytest.mark.parametrize("world", ["obstacle6", "gap6"])
+def test_contains_matches_scan_on_graph_vertices(world, request):
+    m = request.getfixturevalue(world)
+    w = request.getfixturevalue(f"{world}_region")
+    for u in build_support_graph(m, [m.init_support]).vertices:
+        assert w.contains(u) == scan_contains(w.elements, u)
+
+
 def test_region_elements_avoid_free(obstacle6, obstacle6_region):
     for u in obstacle6_region.elements:
         assert u & obstacle6.avoid_mask == 0
@@ -476,6 +514,13 @@ def test_antichain_keeps_maximal_elements():
     assert set(out) == {0b0111, 0b1001}
     for u in out:
         assert not any(u != v and u & ~v == 0 for v in out)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 10) - 1), max_size=40))
+@example([0])
+@example([0, 0b01, 0b10])
+def test_antichain_matches_pairwise_reference(masks):
+    assert antichain(masks) == pairwise_antichain(masks)
 
 
 def test_powerset_supports_counts():
