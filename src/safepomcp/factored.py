@@ -15,7 +15,10 @@ obstacle n=4, 2 of the union's 17 antichain elements lie outside the
 centralized region.  On refuel n=6 the union is not step-closed: 20 of its
 elements have no action that keeps every branch inside it, from one more no
 goal is reachable, and 352 of its 868 elements lie outside the centralized
-region.
+region.  On refuel n=8 the union has one such closure hole, an 8-state
+support from ``g41_e5`` to ``g61_e7``, and it does not contain the initial
+support, so both factored shield modes refuse to start an episode
+(``UnwinningStartError``).
 
 Membership of the union, like centralized membership, is downward closed.
 ``FactoredRegion.contains`` answers it with the same interface and the same
@@ -30,7 +33,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Collection
 
 from .model import (
     PROB_EPS,
@@ -51,6 +54,7 @@ from .winning import (
     compute_winning_region,
     covered,
     holders_index,
+    reachable_supports,
 )
 
 
@@ -257,7 +261,7 @@ class FactoredRegion:
 
 
 def _sub_seeds(sub: Submodel, powerset_seeds: bool,
-               parent_masks: Sequence[int]) -> list[int]:
+               parent_masks: Collection[int]) -> list[int]:
     if powerset_seeds:
         from .winning import powerset_supports
 
@@ -297,15 +301,17 @@ def propagate_factored_regions(
     neighbouring-room dynamics create supports near doors that the
     submodel's own dynamics (with outlets frozen) never generate, and
     without them membership answers would be spuriously conservative.
+    Only its vertices are kept (``reachable_supports``); it stores no
+    branches, and it trips the same vertex cap and deadline as a graph.
     """
     from .winning import DEFAULT_VERTEX_CAP
 
     cap = max_vertices if max_vertices is not None else DEFAULT_VERTEX_CAP
-    parent_masks: tuple[int, ...] = ()
+    parent_masks: frozenset[int] = frozenset()
     if not powerset_seeds:
-        parent_masks = build_support_graph(
+        parent_masks = reachable_supports(
             m, [m.init_support], max_vertices=cap, deadline=deadline
-        ).vertices
+        )
     for sub in subs:
         if spec is not None:
             ext = states_from_mask(sub.extended_parent_mask)

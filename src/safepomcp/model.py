@@ -185,10 +185,25 @@ class Pomdp:
         return out
 
     @cached_property
-    def _obs_ids(self) -> list[tuple[int, ...]]:
-        out = []
+    def _succ_obs_bits(self) -> list[int]:
+        """Bitmask of the observation ids some successor of ``s`` under ``a``
+        emits, at ``s * n_actions + a``; entries of at most ``PROB_EPS`` are
+        absent, as in ``_succ_masks``."""
+        emits = []
         for obs, probs in self.observations:
-            out.append(tuple(o for o, p in zip(obs, probs) if p > PROB_EPS))
+            bits = 0
+            for o, p in zip(obs, probs):
+                if p > PROB_EPS:
+                    bits |= 1 << o
+            emits.append(bits)
+        na = self.n_actions
+        out = []
+        for k, succ in enumerate(self._succ_masks):
+            a = k % na
+            bits = 0
+            for s2 in _iter_bits(succ):
+                bits |= emits[s2 * na + a]
+            out.append(bits)
         return out
 
     @cached_property
@@ -461,24 +476,30 @@ def support_post_all(m: Pomdp, support: int, a: int) -> list[tuple[int, int]]:
     """All non-empty posterior supports for action ``a``, as (obs, mask) pairs.
 
     The union of the returned masks equals ``successors_mask(m, support, a)``;
-    the list is sorted by observation id.
+    the list is sorted by observation id.  One pass over the support ORs the
+    successor masks and the emitted-observation masks of its states; every
+    emitted observation then has a non-empty posterior, one AND each.
     """
-    succ = successors_mask(m, support, a)
+    sm = m._succ_masks
+    emitted = m._succ_obs_bits
     na = m.n_actions
-    obs_ids = m._obs_ids
-    candidates: set[int] = set()
-    rest = succ
+    succ = 0
+    obs_bits = 0
+    rest = support
     while rest:
         low = rest & -rest
-        candidates.update(obs_ids[(low.bit_length() - 1) * na + a])
+        k = (low.bit_length() - 1) * na + a
+        succ |= sm[k]
+        obs_bits |= emitted[k]
         rest ^= low
     zmasks = m._obs_state_masks
     base = a * m.n_obs
     out = []
-    for o in sorted(candidates):
-        post = succ & zmasks[base + o]
-        if post:
-            out.append((o, post))
+    while obs_bits:
+        low = obs_bits & -obs_bits
+        o = low.bit_length() - 1
+        out.append((o, succ & zmasks[base + o]))
+        obs_bits ^= low
     return out
 
 

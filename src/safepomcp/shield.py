@@ -164,20 +164,3 @@ def prior_prune(ctx: ShieldContext, root: Node) -> set[int]:
     ctx.root_pruned += len(pruned)
     return pruned
 
-
-def backtrack_check(ctx: ShieldContext, node: Node, a: int, o: int,
-                    s_new: int) -> bool:
-    """Allow/prune verdict for appending ``s_new`` to the (a, o) child's belief.
-
-    Returns True to allow.  Membership is only queried when the particle
-    support would actually grow; repeat states carry no new information.
-    The planner inlines this logic during simulations; this entry point
-    exists so verdicts can be audited outside a search.
-    """
-    edge = node.edges[a] if node.edges is not None else None
-    child = edge.children.get(o) if edge is not None else None
-    mask = child.mask if child is not None else 0
-    bit = 1 << s_new
-    if mask & bit:
-        return True
-    return ctx.contains(mask | bit)

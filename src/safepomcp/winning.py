@@ -10,7 +10,9 @@ set:
    ``support_post_all`` over every action, stored by vertex id in flat
    arrays (``SupportGraph``) with no Python object per branch: under
    tracemalloc the refuel n=6 graph (45,027 vertices, 2.76 M branches)
-   holds 37 MB, 14 bytes per branch;
+   holds 37 MB, 14 bytes per branch.  Where only the vertex set is needed,
+   as for seeding factored rooms, ``reachable_supports`` runs the same
+   closure and keeps the vertices alone, with no branch arrays;
 2. keep candidates C = vertices disjoint from avoid, with goal set
    G = candidates contained in reach;
 3. iterate until stable: an action is *allowed* at u when every non-empty
@@ -237,6 +239,50 @@ def build_support_graph(
         tuple(vertices), tuple(seed_list), na,
         slot_start, succ, obs, pred_start, pred_slots,
     )
+
+
+def reachable_supports(
+    m: Pomdp,
+    seeds: Iterable[int],
+    *,
+    max_vertices: int = DEFAULT_VERTEX_CAP,
+    deadline: float | None = None,
+) -> frozenset[int]:
+    """The vertex set of ``build_support_graph(m, seeds)``, without its branches.
+
+    The same breadth-first closure under support_post_all, with the same
+    vertex cap, deadline checks and out-of-memory failure, keeping only the
+    supports seen: no branch, observation or predecessor array is stored.
+    """
+    seed_list = sorted(set(seeds))
+    if not seed_list or any(u == 0 for u in seed_list):
+        raise ValueError("seeds must be non-empty supports")
+    seen = set(seed_list)
+    queue = seed_list
+    na = m.n_actions
+    try:
+        head = 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            if head % 4096 == 0:
+                _check_deadline(deadline, "support graph growth")
+            for a in range(na):
+                for _o, v in support_post_all(m, u, a):
+                    if v not in seen:
+                        if len(seen) >= max_vertices:
+                            raise GraphCapExceeded(
+                                f"support graph exceeded {max_vertices} vertices"
+                            )
+                        seen.add(v)
+                        queue.append(v)
+    except MemoryError:
+        reached = len(queue)
+        seen = queue = None
+        raise GraphCapExceeded(
+            f"support graph ran out of memory at {reached} vertices"
+        ) from None
+    return frozenset(seen)
 
 
 def winning_masks(

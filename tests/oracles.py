@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from safepomcp import Pomdp
+from safepomcp import Pomdp, successors_mask
+from safepomcp.model import PROB_EPS
 
 
 def all_supports(n_states: int) -> list[frozenset[int]]:
@@ -38,6 +39,33 @@ def post_branches(m: Pomdp, u: frozenset[int], a: int) -> dict[int, frozenset[in
             if p > 0.0:
                 branches.setdefault(o, set()).add(s2)
     return {o: frozenset(v) for o, v in branches.items()}
+
+
+def candidate_post_all(m: Pomdp, support: int, a: int) -> list[tuple[int, int]]:
+    """``support_post_all`` by a candidate search over observation ids.
+
+    Every observation some successor emits with probability above
+    ``PROB_EPS`` is a candidate; candidates are sorted and each is ANDed
+    with the states that emit it, empty posteriors dropped.  Unlike the
+    rest of this module it reads the package's successor and emitter
+    masks: it is the reference for the emitted-observation table that
+    ``support_post_all`` walks instead, while ``post_branches`` is the
+    independent one.
+    """
+    succ = successors_mask(m, support, a)
+    na = m.n_actions
+    candidates: set[int] = set()
+    for s2 in support_states(succ):
+        obs, probs = m.observations[s2 * na + a]
+        candidates.update(o for o, p in zip(obs, probs) if p > PROB_EPS)
+    zmasks = m._obs_state_masks
+    base = a * m.n_obs
+    out = []
+    for o in sorted(candidates):
+        post = succ & zmasks[base + o]
+        if post:
+            out.append((o, post))
+    return out
 
 
 def brute_force_winning(m: Pomdp) -> set[frozenset[int]]:
@@ -200,3 +228,20 @@ def support_states(mask: int) -> frozenset[int]:
         mask >>= 1
         s += 1
     return frozenset(out)
+
+
+def backtrack_check(ctx, node, a: int, o: int, s_new: int) -> bool:
+    """Allow/prune verdict for appending ``s_new`` to the (a, o) child's belief.
+
+    Returns True to allow.  Membership is only queried when the particle
+    support would actually grow; repeat states carry no new information.
+    This is the check the planner makes inline during simulations, written
+    out so that its verdicts can be audited outside a search.
+    """
+    edge = node.edges[a] if node.edges is not None else None
+    child = edge.children.get(o) if edge is not None else None
+    mask = child.mask if child is not None else 0
+    bit = 1 << s_new
+    if mask & bit:
+        return True
+    return ctx.contains(mask | bit)

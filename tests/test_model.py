@@ -26,7 +26,7 @@ from safepomcp import (
     support_post_all,
 )
 
-from oracles import post_branches
+from oracles import candidate_post_all, post_branches, support_states
 from strategies import small_pomdps, support_of
 
 
@@ -140,6 +140,40 @@ def test_post_all_deterministic_chain_single_branch():
         o, mask = branches[0]
         assert o == 0
         assert mask == 1 << min(s + 1, m.n_states - 1)
+
+
+@given(m=small_pomdps(), data=st.data())
+def test_post_all_matches_candidate_reference(m, data):
+    u = data.draw(st.integers(min_value=1, max_value=(1 << m.n_states) - 1))
+    a = data.draw(st.integers(min_value=0, max_value=m.n_actions - 1))
+    branches = support_post_all(m, u, a)
+    assert branches == candidate_post_all(m, u, a)
+    expected = post_branches(m, support_states(u), a)
+    assert branches == [
+        (o, mask_from_states(expected[o])) for o in sorted(expected)
+    ]
+
+
+@pytest.mark.parametrize("tiny_entry", ["transition", "observation"])
+def test_post_all_ignores_negligible_entries(tiny_entry):
+    """A 1e-15 entry is a structural zero: state 2 is no successor of state 0
+    in one model, and state 1 never emits observation 1 in the other, so
+    observation 1 gives no branch (not an empty one) from state 0."""
+    eps = 1e-15
+    trans = {(s, 0): {s: 1.0} for s in range(3)}
+    obs_fn = {(0, 0): {0: 1.0}, (1, 0): {0: 1.0}, (2, 0): {1: 1.0}}
+    if tiny_entry == "transition":
+        trans[0, 0] = {1: 1.0 - eps, 2: eps}
+    else:
+        trans[0, 0] = {1: 1.0}
+        obs_fn[1, 0] = {0: 1.0 - eps, 1: eps}
+    m = make_pomdp(
+        states=3, actions=1, observations=2, transitions=trans,
+        obs_fn=obs_fn, rewards={}, init={0: 1.0}, reach=[], avoid=[],
+    )
+    assert support_post_all(m, 0b001, 0) == [(0, 0b010)]
+    for u in range(1, 8):
+        assert support_post_all(m, u, 0) == candidate_post_all(m, u, 0)
 
 
 # -- sample_step -----------------------------------------------------------

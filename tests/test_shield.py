@@ -11,7 +11,6 @@ from safepomcp import (
     ShieldContext,
     ShieldMode,
     ShieldStats,
-    backtrack_check,
     make_pomdp,
     prior_prune,
     states_from_mask,
@@ -20,6 +19,8 @@ from safepomcp.model import support_post_all
 from safepomcp.modelio import model_hash
 from safepomcp.pomcp import ActionEdge
 from safepomcp.winning import Spec, WinningRegion
+
+from oracles import backtrack_check
 
 
 def _ctx(m, region):

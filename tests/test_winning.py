@@ -171,6 +171,91 @@ def test_graph_out_of_memory_is_typed(obstacle6, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("world", ["obstacle6", "gap6"])
+def test_reachable_supports_match_graph_vertices(world, request):
+    m = request.getfixturevalue(world)
+    reached = winning.reachable_supports(m, [m.init_support])
+    assert reached == set(build_support_graph(m, [m.init_support]).vertices)
+
+
+@given(data=st.data())
+def test_reachable_supports_match_graph_vertices_on_random_models(data):
+    from strategies import small_pomdps
+
+    m = data.draw(small_pomdps())
+    seeds = data.draw(st.sets(
+        st.integers(min_value=1, max_value=(1 << m.n_states) - 1),
+        min_size=1, max_size=4,
+    ))
+    assert winning.reachable_supports(m, seeds) == set(
+        build_support_graph(m, seeds).vertices
+    )
+
+
+@pytest.mark.parametrize("world", ["obstacle6", "gap6"])
+def test_reachable_supports_cap_matches_graph_cap(world, request):
+    m = request.getfixturevalue(world)
+    n = len(winning.reachable_supports(m, [m.init_support]))
+    assert len(winning.reachable_supports(
+        m, [m.init_support], max_vertices=n)) == n
+    build_support_graph(m, [m.init_support], max_vertices=n)
+    message = f"^support graph exceeded {n - 1} vertices$"
+    for grow in (winning.reachable_supports, build_support_graph):
+        with pytest.raises(GraphCapExceeded, match=message):
+            grow(m, [m.init_support], max_vertices=n - 1)
+
+
+def test_reachable_supports_rejects_empty_seeds(obstacle6):
+    with pytest.raises(ValueError):
+        winning.reachable_supports(obstacle6, [])
+    with pytest.raises(ValueError):
+        winning.reachable_supports(obstacle6, [obstacle6.init_support, 0])
+
+
+def test_reachable_supports_deadline_checked_like_graph(obstacle6, monkeypatch):
+    """Both closures check the deadline once per 4,096 expanded vertices."""
+    free = [s for s in range(obstacle6.n_states)
+            if not obstacle6.avoid_mask >> s & 1]
+    seeds = powerset_supports(free[:13])
+    expired = time.monotonic() - 1.0
+    for grow in (winning.reachable_supports, build_support_graph):
+        with pytest.raises(RegionTimeout, match="support graph growth"):
+            grow(obstacle6, seeds, deadline=expired)
+        grow(obstacle6, [obstacle6.init_support], deadline=expired)
+
+    checks = []
+    monkeypatch.setattr(
+        winning, "_check_deadline", lambda deadline, what: checks.append(what)
+    )
+    n = len(winning.reachable_supports(obstacle6, seeds))
+    assert checks == ["support graph growth"] * (n // 4096)
+    assert n // 4096 >= 2
+    checks.clear()
+    build_support_graph(obstacle6, seeds)
+    assert checks == ["support graph growth"] * (n // 4096)
+
+
+def test_reachable_supports_out_of_memory_is_typed(obstacle6, monkeypatch):
+    seen = {obstacle6.init_support}
+    calls = []
+
+    def exhausted_after_40(m, u, a):
+        if len(calls) == 40:
+            raise MemoryError
+        calls.append(a)
+        out = support_post_all(m, u, a)
+        seen.update(v for _, v in out)
+        return out
+
+    monkeypatch.setattr(winning, "support_post_all", exhausted_after_40)
+    with pytest.raises(GraphCapExceeded) as err:
+        winning.reachable_supports(obstacle6, [obstacle6.init_support])
+    assert str(err.value) == (
+        f"support graph ran out of memory at {len(seen)} vertices"
+    )
+    assert len(calls) == 40
+
+
 # -- winning region --------------------------------------------------------
 
 
