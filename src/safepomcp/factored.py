@@ -404,7 +404,8 @@ def factored_elements_in_parent(f: FactoredRegion) -> tuple[int, ...]:
 
 
 def serialize_factored(f: FactoredRegion, m: Pomdp) -> str:
-    """One section per submodel: membership data plus final reach sets."""
+    """One section per submodel: membership data, final reach sets and an
+    element count ahead of the section's W lines."""
     lines = [
         "# factored winning regions",
         f"model {model_hash(m)}",
@@ -423,9 +424,13 @@ def serialize_factored(f: FactoredRegion, m: Pomdp) -> str:
         lines.append("init " + names(sub.init_states))
         lines.append("reach " + names(sub.reach_states))
         lines.append("avoid " + names(sub.avoid_states))
+        lines.append(f"elements {len(reg.elements)}")
         for e in sorted(reg.elements):
             lines.append("W " + names(states_from_mask(sub.to_parent_mask(e))))
     return "\n".join(lines) + "\n"
+
+
+_SECTION_LINES = frozenset({"own", "outlets", "init", "reach", "avoid", "elements"})
 
 
 def parse_factored(text: str, m: Pomdp) -> FactoredRegion:
@@ -433,9 +438,11 @@ def parse_factored(text: str, m: Pomdp) -> FactoredRegion:
 
     The submodels themselves are reconstructed by decomposing the model,
     so the file only needs to agree on the structure and supply the final
-    reach sets and antichains.
+    reach sets and antichains.  The ``submodels`` line, one complete
+    section per submodel and each section's ``elements`` count are
+    required, so a cut file raises instead of loading as smaller regions.
     """
-    from .winning import RegionFileError
+    from .winning import RegionFileError, check_element_count, element_count
 
     file_hash = None
     for raw in text.splitlines():
@@ -458,6 +465,8 @@ def parse_factored(text: str, m: Pomdp) -> FactoredRegion:
     current: Submodel | None = None
     reach_seen: dict[int, set[int]] = {}
     elems: dict[int, list[int]] = {}
+    counts: dict[int, int] = {}
+    section_lines: dict[int, set[str]] = {}
 
     def state_ids(args):
         try:
@@ -480,6 +489,8 @@ def parse_factored(text: str, m: Pomdp) -> FactoredRegion:
                 idx = int(args[0])
                 if idx not in by_index:
                     raise ValueError(f"no submodel with index {idx}")
+                if idx in elems:
+                    raise ValueError(f"second section for submodel {idx}")
                 current = by_index[idx]
                 if len(args) > 1 and args[1] != current.label:
                     raise ValueError(
@@ -488,6 +499,7 @@ def parse_factored(text: str, m: Pomdp) -> FactoredRegion:
                     )
                 reach_seen[idx] = set()
                 elems[idx] = []
+                section_lines[idx] = set()
             elif current is None:
                 raise ValueError(f"{kind!r} before any submodel section")
             elif kind == "own":
@@ -516,6 +528,8 @@ def parse_factored(text: str, m: Pomdp) -> FactoredRegion:
                     raise ValueError(
                         f"avoid states of {current.label} do not match the model"
                     )
+            elif kind == "elements":
+                counts[current.index] = element_count(args)
             elif kind == "W":
                 u = mask_from_states(state_ids(args))
                 if u & ~current.extended_parent_mask:
@@ -525,19 +539,31 @@ def parse_factored(text: str, m: Pomdp) -> FactoredRegion:
                 elems[current.index].append(current.to_sub_mask(u))
             else:
                 raise ValueError(f"unknown directive {kind!r}")
+            if kind in _SECTION_LINES:
+                section_lines[current.index].add(kind)
         except RegionFileError:
             raise
         except (ValueError, KeyError) as e:
             raise RegionFileError(f"line {ln}: {e}") from None
-    if declared is not None and declared != len(subs):
+    if declared is None:
+        raise RegionFileError("missing submodels line")
+    if declared != len(subs):
         raise RegionFileError(
             f"file declares {declared} submodels, decomposition has {len(subs)}"
         )
     regions = []
     for sub in subs:
-        if sub.index in reach_seen:
-            sub.reach_states = reach_seen[sub.index]
-        ac = antichain(elems.get(sub.index, []))
+        if sub.index not in elems:
+            raise RegionFileError(f"no section for submodel {sub.index}")
+        missing = _SECTION_LINES - section_lines[sub.index]
+        if missing:
+            raise RegionFileError(
+                f"submodel {sub.index} section lacks {' '.join(sorted(missing))} lines"
+            )
+        check_element_count(counts[sub.index], len(elems[sub.index]),
+                            f"submodel {sub.index} section")
+        sub.reach_states = reach_seen[sub.index]
+        ac = antichain(elems[sub.index])
         regions.append(WinningRegion(ac, sub.local_spec(), model_hash(sub.pomdp)))
     return FactoredRegion(
         subs=subs, regions=regions, model_hash=file_hash, spec=Spec.of(m)

@@ -436,5 +436,5 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                     "step_time_median_s": _fmt_time(metrics.step_time_median),
                 })
     if cfg.output is not None:
-        Path(cfg.output).write_text(report.csv_text())
+        write_text_atomic(Path(cfg.output), report.csv_text())
     return report

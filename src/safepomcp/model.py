@@ -26,6 +26,11 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 PROB_EPS = 1e-12
 SUM_TOL = 1e-9
 
+# Uniform-rollout block tables: steps per block, and the most outcomes one
+# state's block may have before that state falls back to a shorter block.
+BLOCK_STEPS = 3
+BLOCK_ENTRIES = 512
+
 
 class ModelError(ValueError):
     """Base class for model construction and validation failures."""
@@ -174,6 +179,18 @@ class Pomdp:
         return _sample_tables(self.observations)
 
     @cached_property
+    def _block_cache(self) -> dict[float, list]:
+        return {}
+
+    def _rollout_blocks(self, discount: float) -> list:
+        """The uniform rollout's block tables for ``discount``, built on
+        first use and kept on the model; see :func:`_uniform_blocks`."""
+        tables = self._block_cache.get(discount)
+        if tables is None:
+            tables = self._block_cache[discount] = _uniform_blocks(self, discount)
+        return tables
+
+    @cached_property
     def _succ_masks(self) -> list[int]:
         out = []
         for succs, probs in self.transitions:
@@ -271,6 +288,77 @@ class Pomdp:
         return tuple(self.state_names[s] for s in _iter_bits(mask))
 
 
+def _kept(row: Row) -> list[tuple[int, float]]:
+    """The row's (outcome, probability) pairs above ``PROB_EPS``."""
+    return [(x, p) for x, p in zip(*row) if p > PROB_EPS]
+
+
+def _uniform_blocks(m: Pomdp, discount: float,
+                    max_entries: int = BLOCK_ENTRIES) -> list:
+    """Outcome tables of up to ``BLOCK_STEPS`` moves of the uniform-random
+    policy.
+
+    ``tables[k][s]`` is ``None`` for an absorbing ``s`` and otherwise a pair
+    ``(cums, outcomes)``: ``outcomes`` lists ``(end, value, factor, n)`` --
+    the state after ``n`` moves, their discounted reward sum, and
+    ``discount ** n`` -- and ``cums`` their cumulative probabilities, the
+    last exactly 1.0, so that ``outcomes[bisect_right(cums, u)]`` for a
+    uniform ``u`` in [0, 1) samples the block.  Paths are merged by
+    outcome.  A path stops early when it enters an absorbing state, whose
+    tail the rollout closes in closed form.  Successors come from the same
+    ``PROB_EPS``-filtered, renormalised rows the step sampler draws from,
+    so a block has exactly the law of ``n`` sampled steps.  Where a state's
+    ``k``-move table would exceed ``max_entries`` outcomes, its
+    ``(k - 1)``-move table stands in; stopping early is a function of the
+    state alone, so the rollout's law is unchanged.  ``tables[0]`` is
+    unused.
+    """
+    na = m.n_actions
+    absorb = m.absorbing_mean_rewards
+    rows = []
+    for row in m.transitions:
+        kept = _kept(row)
+        total = sum(p for _, p in kept)
+        rows.append([(x, p / (total * na)) for x, p in kept])
+    rewards = m.rewards
+    tables: list = [None]
+    prev: list | None = None
+    for _ in range(BLOCK_STEPS):
+        cur: list = []
+        for s in range(m.n_states):
+            if absorb[s] is not None:
+                cur.append(None)
+                continue
+            acc: dict[tuple[int, float, int], float] = {}
+            base = s * na
+            for a in range(na):
+                r = rewards[base + a]
+                for s2, q in rows[base + a]:
+                    if prev is None or absorb[s2] is not None:
+                        key = (s2, r, 1)
+                        acc[key] = acc.get(key, 0.0) + q
+                        continue
+                    for (end, v, n), p in prev[s2]:
+                        key = (end, r + discount * v, n + 1)
+                        acc[key] = acc.get(key, 0.0) + q * p
+            cur.append(list(acc.items()) if prev is None or len(acc) <= max_entries
+                       else prev[s])
+        tables.append([None if outs is None else _block_table(outs, discount)
+                       for outs in cur])
+        prev = cur
+    return tables
+
+
+def _block_table(outs: list, discount: float) -> tuple[tuple, tuple]:
+    cums = []
+    acc = 0.0
+    for _, p in outs:
+        acc += p
+        cums.append(acc)
+    return (tuple(c / acc for c in cums),  # the last is acc / acc == 1.0
+            tuple((end, v, discount ** n, n) for (end, v, n), _ in outs))
+
+
 def _sample_tables(rows: Sequence[Row]):
     """Split rows by support size for the samplers' fast paths.
 
@@ -283,8 +371,8 @@ def _sample_tables(rows: Sequence[Row]):
     duo_a = []
     duo_b = []
     multi = []
-    for outcomes, probs in rows:
-        kept = [(x, p) for x, p in zip(outcomes, probs) if p > PROB_EPS]
+    for row in rows:
+        kept = _kept(row)
         if len(kept) == 1:
             single.append(kept[0][0])
             duo_p.append(0.0)

@@ -19,6 +19,16 @@ discards the subtree, and the simulation re-chooses.  A node left without
 actions escalates by pruning the action that led to it in its parent.
 Absorbing states short-circuit: their remaining value under a uniform policy
 is a closed form, so neither the tree nor the rollout walks their self-loops.
+
+Rollouts are block-sampled.  Per model and discount, the model keeps tables
+of the outcomes of up to ``BLOCK_STEPS`` uniform-random moves from each
+state: end state, discounted reward sum and moves taken, merged over paths
+(see ``model._uniform_blocks``).  A rollout then makes one uniform draw and
+one bisect per block instead of one or two draws per move, and uses the
+shorter tables for its last ``depth % BLOCK_STEPS`` moves.  The return has
+the same distribution as a move-by-move rollout; only the random stream
+differs.  The first move after a shielded expansion node is still sampled
+on its own, from the node's unpruned actions.
 """
 
 from __future__ import annotations
@@ -155,7 +165,7 @@ class _Search:
     """One planning step's working state, with model tables bound locally."""
 
     __slots__ = (
-        "m", "na", "abits", "gamma", "c", "rng", "shield", "absorb",
+        "m", "na", "gamma", "c", "rng", "shield", "absorb", "blocks",
         "t_single", "t2p", "t2a", "t2b", "t_multi",
         "z_single", "z2p", "z2a", "z2b", "z_multi", "rewards",
         "root", "root_ok",
@@ -166,13 +176,12 @@ class _Search:
         self.m = m
         na = m.n_actions
         self.na = na
-        # power-of-two action counts draw rollout actions via getrandbits
-        self.abits = na.bit_length() - 1 if na & (na - 1) == 0 else -1
         self.gamma = cfg.discount
         self.c = cfg.ucb_c if cfg.ucb_c is not None else m.reward_span
         self.rng = rng
         self.shield = shield if shield is not None and shield.backtracking else None
         self.absorb = m.absorbing_mean_rewards
+        self.blocks = m._rollout_blocks(cfg.discount)
         self.t_single, self.t2p, self.t2a, self.t2b, self.t_multi = m._t_tables
         self.z_single, self.z2p, self.z2a, self.z2b, self.z_multi = m._z_tables
         self.rewards = m.rewards
@@ -262,45 +271,43 @@ class _Search:
             return ret
 
     def rollout(self, s: int, depth: int, shielded: int = 0) -> float:
-        rng_random = self.rng.random
-        rng_bits = self.rng.getrandbits
-        t_single = self.t_single
-        t2p = self.t2p
-        t2a = self.t2a
-        t2b = self.t2b
-        t_multi = self.t_multi
-        rewards = self.rewards
         absorb = self.absorb
-        na = self.na
-        abits = self.abits
-        gamma = self.gamma
+        mean = absorb[s]
+        if mean is not None:
+            return self._tail(mean, depth)
+        rng_random = self.rng.random
         total = 0.0
         g = 1.0
-        for k in range(depth):
-            mean = absorb[s]
-            if mean is not None:
-                total += g * self._tail(mean, depth - k)
-                break
-            if shielded and k == 0:
-                # the expansion node's pruned actions stay off-limits for
-                # the first rollout move; beyond it there is no node context
-                allowed = [a for a in range(na) if not shielded >> a & 1]
-                a = allowed[int(rng_random() * len(allowed))]
-            elif abits >= 0:
-                a = rng_bits(abits)
-            else:
-                a = int(rng_random() * na)
+        if shielded:
+            # the expansion node's pruned actions stay off-limits for the
+            # first move; beyond it there is no node context
+            na = self.na
+            allowed = [a for a in range(na) if not shielded >> a & 1]
+            a = allowed[int(rng_random() * len(allowed))]
             idx = s * na + a
-            total += g * rewards[idx]
-            g *= gamma
-            s2 = t_single[idx]
+            total = self.rewards[idx]
+            g = self.gamma
+            s2 = self.t_single[idx]
             if s2 < 0:
                 if s2 == -1:
-                    s2 = t2a[idx] if rng_random() < t2p[idx] else t2b[idx]
+                    s2 = self.t2a[idx] if rng_random() < self.t2p[idx] else self.t2b[idx]
                 else:
-                    outs, cums, tot = t_multi[idx]
+                    outs, cums, tot = self.t_multi[idx]
                     s2 = outs[bisect_right(cums, rng_random() * tot)]
             s = s2
+            depth -= 1
+        blocks = self.blocks
+        k_full = len(blocks) - 1
+        full = blocks[k_full]
+        while depth > 0:
+            mean = absorb[s]
+            if mean is not None:
+                return total + g * self._tail(mean, depth)
+            cums, outs = (full if depth >= k_full else blocks[depth])[s]
+            s, v, f, n = outs[bisect_right(cums, rng_random())]
+            total += g * v
+            g *= f
+            depth -= n
         return total
 
 

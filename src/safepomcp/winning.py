@@ -572,12 +572,15 @@ def productivity_witness(
 
 
 def serialize_region(w: WinningRegion, m: Pomdp) -> str:
-    """Text form: model hash, objective, one antichain element per W line."""
+    """Text form: model hash, objective, element count, then one antichain
+    element per W line.  The count lets a parser tell a cut file from a
+    smaller region."""
     lines = [
         "# winning region over belief supports",
         f"model {w.model_hash}",
         "reach " + " ".join(m.names_from_mask(w.spec.reach_mask)),
         "avoid " + " ".join(m.names_from_mask(w.spec.avoid_mask)),
+        f"elements {len(w.elements)}",
     ]
     for u in sorted(w.elements):
         lines.append("W " + " ".join(m.names_from_mask(u)))
@@ -585,10 +588,15 @@ def serialize_region(w: WinningRegion, m: Pomdp) -> str:
 
 
 def parse_region(text: str, m: Pomdp) -> WinningRegion:
-    """Parse and validate a region file against ``m`` (hash must match)."""
+    """Parse and validate a region file against ``m`` (hash must match).
+
+    The ``elements`` line is required and must count the W lines, so a
+    file that lost its tail raises instead of loading as a smaller region.
+    """
     file_hash = None
     reach_mask = None
     avoid_mask = None
+    declared = None
     elements = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -603,6 +611,8 @@ def parse_region(text: str, m: Pomdp) -> WinningRegion:
                 reach_mask = m.support_from_names(args) if args else 0
             elif kind == "avoid":
                 avoid_mask = m.support_from_names(args) if args else 0
+            elif kind == "elements":
+                declared = element_count(args)
             elif kind == "W":
                 if not args:
                     raise ValueError("empty support")
@@ -625,4 +635,28 @@ def parse_region(text: str, m: Pomdp) -> WinningRegion:
     elems = antichain(elements)
     if len(elems) != len(elements):
         raise RegionFileError("region file elements are not an antichain")
+    check_element_count(declared, len(elements), "region file")
     return WinningRegion(elems, spec, file_hash)
+
+
+def element_count(args: Sequence[str]) -> int:
+    """The count of an ``elements`` line; ValueError unless it is one
+    non-negative integer."""
+    (tok,) = args
+    n = int(tok)
+    if n < 0:
+        raise ValueError(f"negative element count {n}")
+    return n
+
+
+def check_element_count(declared: int | None, found: int, where: str) -> None:
+    if declared is None:
+        raise RegionFileError(
+            f"{where} has no elements line; files written without element "
+            "counts must be rebuilt"
+        )
+    if declared != found:
+        raise RegionFileError(
+            f"{where} declares {declared} elements but holds {found}; "
+            "the file is cut or edited"
+        )

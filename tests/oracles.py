@@ -9,6 +9,7 @@ finite-horizon dynamic programming.  Only practical for tiny models.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations
 
 from safepomcp import Pomdp, successors_mask
@@ -205,6 +206,107 @@ def horizon_values(m: Pomdp, horizon: int) -> list[float]:
             for s in range(m.n_states)
         ]
     return v
+
+
+def uniform_values(m: Pomdp, horizon: int, discount: float = 1.0) -> list[float]:
+    """Expected ``horizon``-step discounted return of the uniform-random
+    policy from each state: ``horizon_values`` with a mean over actions in
+    place of the max."""
+    na = m.n_actions
+    v = [0.0] * m.n_states
+    for _ in range(horizon):
+        v = [
+            sum(
+                m.rewards[s * na + a]
+                + discount * sum(p * v[x] for x, p in zip(*m.transitions[s * na + a]))
+                for a in range(na)
+            ) / na
+            for s in range(m.n_states)
+        ]
+    return v
+
+
+def uniform_paths(m: Pomdp, s: int, steps: int, discount: float) -> dict:
+    """Outcomes of ``steps`` uniform-random moves from ``s``, by brute force.
+
+    Every action sequence and successor path is enumerated from the raw
+    rows, entries of at most ``PROB_EPS`` dropped and the rest renormalised;
+    a path ends early in an absorbing state (one whose every action keeps
+    it in place).  Paths are merged by ``(end, n, value)``, the value
+    rounded to 9 places, into total probabilities.
+    """
+    na = m.n_actions
+
+    def kept(k):
+        pairs = [(x, p) for x, p in zip(*m.transitions[k]) if p > PROB_EPS]
+        total = sum(p for _, p in pairs)
+        return [(x, p / total) for x, p in pairs]
+
+    def absorbing(x):
+        return all({y for y, _ in kept(x * na + a)} == {x} for a in range(na))
+
+    out: dict = {}
+
+    def walk(x, left, value, scale, n, prob):
+        if n and (left == 0 or absorbing(x)):
+            key = (x, n, round(value, 9))
+            out[key] = out.get(key, 0.0) + prob
+            return
+        for a in range(na):
+            r = m.rewards[x * na + a]
+            for y, p in kept(x * na + a):
+                walk(y, left - 1, value + scale * r, scale * discount, n + 1,
+                     prob * p / na)
+
+    walk(s, steps, 0.0, 1.0, 0, 1.0)
+    return out
+
+
+def step_rollout(m: Pomdp, s: int, depth: int, discount: float, rng,
+                 shielded: int = 0) -> float:
+    """A uniform-random rollout sampled one move at a time.
+
+    One draw picks each action (``getrandbits`` when the action count is a
+    power of two) and one more picks the successor of a two- or
+    wider-outcome row; an absorbing state closes the tail in closed form.
+    The first move avoids the actions set in ``shielded``.  It reads the
+    package's sampler tables, so that it draws from the same filtered rows
+    as the block-sampled rollout it is the reference for.
+    """
+    t_single, t2p, t2a, t2b, t_multi = m._t_tables
+    absorb = m.absorbing_mean_rewards
+    na = m.n_actions
+    abits = na.bit_length() - 1 if na & (na - 1) == 0 else -1
+    total = 0.0
+    g = 1.0
+    for k in range(depth):
+        mean = absorb[s]
+        if mean is not None:
+            left = depth - k
+            if discount == 1.0:
+                total += g * mean * left
+            else:
+                total += g * mean * (1.0 - discount ** left) / (1.0 - discount)
+            break
+        if shielded and k == 0:
+            allowed = [a for a in range(na) if not shielded >> a & 1]
+            a = allowed[int(rng.random() * len(allowed))]
+        elif abits >= 0:
+            a = rng.getrandbits(abits)
+        else:
+            a = int(rng.random() * na)
+        idx = s * na + a
+        total += g * m.rewards[idx]
+        g *= discount
+        s2 = t_single[idx]
+        if s2 < 0:
+            if s2 == -1:
+                s2 = t2a[idx] if rng.random() < t2p[idx] else t2b[idx]
+            else:
+                outs, cums, tot = t_multi[idx]
+                s2 = outs[bisect_right(cums, rng.random() * tot)]
+        s = s2
+    return total
 
 
 def horizon_q(m: Pomdp, s: int, horizon: int) -> list[float]:

@@ -193,6 +193,7 @@ def test_check_flags_closure_hole(tmp_path, capsys):
         model {model_hash(m)}
         reach goal
         avoid doom
+        elements 1
         W alive
     """))
     rc = main(["check", str(tmp_path / "doom.region"), str(tmp_path / "doom.pomdp")])
@@ -219,6 +220,7 @@ def test_check_flags_unproductive_cycle(tmp_path, capsys):
         model {model_hash(m)}
         reach goal
         avoid doom
+        elements 2
         W a
         W b
     """))

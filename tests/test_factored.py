@@ -1,6 +1,7 @@
 """Room decomposition and queue-based propagation of factored regions."""
 
 import dataclasses
+import re
 import time
 
 import pytest
@@ -373,6 +374,32 @@ def test_factored_file_rejects_unknown_state(obstacle6, obstacle6_factored):
     tampered = text.replace("W g11", "W g99", 1)
     with pytest.raises(RegionFileError, match="line"):
         parse_factored(tampered, obstacle6)
+
+
+def test_factored_file_cut_at_any_line_raises(obstacle6, obstacle6_factored):
+    text = serialize_factored(obstacle6_factored, obstacle6)
+    assert text.count("\nelements ") == len(obstacle6_factored.subs)
+    lines = text.splitlines(keepends=True)
+    for k in range(len(lines)):
+        with pytest.raises(RegionFileError):
+            parse_factored("".join(lines[:k]), obstacle6)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda t: t.replace("submodels 4\n", ""), "missing submodels line"),
+    (lambda t: t.replace("submodels 4", "submodels 3"), "declares 3 submodels"),
+    (lambda t: t[:t.index("submodel 1 ")] + t[t.index("submodel 2 "):],
+     "no section for submodel 1"),
+    (lambda t: t + t[t.index("submodel 3 "):], "second section for submodel 3"),
+    (lambda t: re.sub(r"\nreach [^\n]*", "", t, count=1), "lacks reach lines"),
+    (lambda t: re.sub(r"\nelements [^\n]*", "", t, count=1), "lacks elements lines"),
+    (lambda t: re.sub(r"\nW [^\n]*", "", t, count=1), "declares \\d+ elements but holds"),
+])
+def test_factored_file_rejects_incomplete_sections(obstacle6, obstacle6_factored,
+                                                   edit, match):
+    text = serialize_factored(obstacle6_factored, obstacle6)
+    with pytest.raises(RegionFileError, match=match):
+        parse_factored(edit(text), obstacle6)
 
 
 def test_factored_file_requires_model_header(obstacle6):

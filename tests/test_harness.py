@@ -75,12 +75,12 @@ def test_episode_started_at_goal_is_trivial():
 
 
 def test_episode_unshielded_can_crash_repeatedly(obstacle6):
-    met = run_episode(obstacle6, None, NO_SHIELD, LITE, 60, 14)
+    met = run_episode(obstacle6, None, NO_SHIELD, LITE, 60, 12)
     assert met.unsafe == 3  # the loop keeps going after an unsafe visit
 
 
 def test_episode_prior_shield_stays_safe(obstacle6, obstacle6_region):
-    met = run_episode(obstacle6, obstacle6_region, PRIOR, LITE, 60, 3)
+    met = run_episode(obstacle6, obstacle6_region, PRIOR, LITE, 60, 0)
     assert met.unsafe == 0
     assert met.reached
     assert met.shield_stats is not None
@@ -88,8 +88,8 @@ def test_episode_prior_shield_stays_safe(obstacle6, obstacle6_region):
 
 
 def test_episode_backtracking_rescues_crashing_seed(obstacle6, obstacle6_region):
-    assert run_episode(obstacle6, None, NO_SHIELD, LITE, 60, 14).unsafe > 0
-    met = run_episode(obstacle6, obstacle6_region, OTF, LITE, 60, 14)
+    assert run_episode(obstacle6, None, NO_SHIELD, LITE, 60, 0).unsafe > 0
+    met = run_episode(obstacle6, obstacle6_region, OTF, LITE, 60, 0)
     assert met.unsafe == 0
     assert met.reached
 
@@ -332,6 +332,30 @@ def test_experiment_table_text(small_report):
     assert "region centralized for obstacle(n=3): computed" in text
     assert re.search(r"^obstacle\s+n=3\s+none\s+3", text, re.M)
     assert re.search(r"^obstacle\s+n=3\s+prior\s+3", text, re.M)
+
+
+def test_experiment_output_kept_when_rename_fails(tmp_path, tiny3_src,
+                                                  monkeypatch):
+    out = tmp_path / "results.csv"
+    out.write_text("previous results\n")
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr("safepomcp.harness.os.replace", fail)
+    cfg = ExperimentConfig(
+        sources=(tiny3_src,),
+        modes=(NO_SHIELD,),
+        planner=TINY,
+        episodes=1,
+        step_cap=5,
+        measure_time=False,
+        output=str(out),
+    )
+    with pytest.raises(OSError, match="rename failed"):
+        run_experiment(cfg)
+    assert out.read_text() == "previous results\n"
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_experiment_timeout_rows(tiny3_src):

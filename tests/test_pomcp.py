@@ -1,9 +1,12 @@
 """Tree search: UCB selection, planning, bookkeeping and root advancement."""
 
+import dataclasses
 import math
 from random import Random
+from statistics import fmean, stdev
 
 import pytest
+from hypothesis import given, strategies as st
 
 from safepomcp import (
     BeliefCollapseError,
@@ -18,6 +21,7 @@ from safepomcp import (
     advance_root,
     compute_winning_region,
     gen_obstacle,
+    gen_refuel,
     make_pomdp,
     make_root,
     plan_step,
@@ -25,9 +29,11 @@ from safepomcp import (
     support_post,
     ucb_select,
 )
-from safepomcp.pomcp import ActionEdge
+from safepomcp.model import BLOCK_STEPS, _uniform_blocks
+from safepomcp.pomcp import ActionEdge, _Search
 
-from oracles import horizon_q
+from oracles import horizon_q, step_rollout, uniform_paths, uniform_values
+from strategies import small_pomdps
 
 DESK = Cfg(simulations=2_000, depth=100, particles=1_000)
 
@@ -140,6 +146,160 @@ def test_ucb_dead_node():
 def test_ucb_requires_expansion():
     with pytest.raises(ValueError):
         ucb_select(Node(), 1.0)
+
+
+# -- block-sampled rollouts ------------------------------------------------
+
+
+def _table_paths(table) -> dict:
+    """A block table merged like ``uniform_paths``: (end, n, value) -> p."""
+    cums, outs = table
+    out: dict = {}
+    lo = 0.0
+    for c, (end, v, f, n) in zip(cums, outs):
+        key = (end, n, round(v, 9))
+        out[key] = out.get(key, 0.0) + (c - lo)
+        lo = c
+    return out
+
+
+def _assert_same_paths(got: dict, want: dict):
+    assert set(got) == set(want)
+    for key, p in want.items():
+        assert got[key] == pytest.approx(p, rel=1e-9, abs=1e-12)
+
+
+def _with_negligible_entries(m, rows: list[int]):
+    """``m`` with a 1e-13 transition entry added to each listed row that
+    leaves out some state; the sampler drops such entries."""
+    trans = list(m.transitions)
+    for k in rows:
+        outs, probs = trans[k]
+        missing = [x for x in range(m.n_states) if x not in outs]
+        if missing:
+            pairs = sorted([*zip(outs, probs), (missing[0], 1e-13)])
+            trans[k] = (tuple(x for x, _ in pairs), tuple(p for _, p in pairs))
+    return dataclasses.replace(m, transitions=tuple(trans))
+
+
+@given(
+    m=small_pomdps(),
+    discount=st.sampled_from([1.0, 0.5]),
+    tiny=st.lists(st.integers(min_value=0, max_value=17), max_size=4),
+)
+def test_block_tables_match_path_enumeration(m, discount, tiny):
+    m = _with_negligible_entries(m, [k for k in tiny if k < len(m.transitions)])
+    tables = _uniform_blocks(m, discount)
+    assert len(tables) == BLOCK_STEPS + 1
+    for k in range(1, BLOCK_STEPS + 1):
+        for s in range(m.n_states):
+            table = tables[k][s]
+            if m.absorbing_mean_rewards[s] is not None:
+                assert table is None
+                continue
+            cums, outs = table
+            assert cums[-1] == 1.0
+            assert all(f == discount ** n for _, _, f, n in outs)
+            _assert_same_paths(_table_paths(table), uniform_paths(m, s, k, discount))
+
+
+def test_block_tables_stop_at_absorbing_and_drop_negligible_entries():
+    # s0 -> s1 or the absorbing s2; s1 -> s0; a 1e-15 entry s0 -> s3 is
+    # dropped, so s3 (an avoid state) is never an outcome
+    m = make_pomdp(
+        states=4, actions=2, observations=1,
+        transitions={
+            (0, 0): {1: 0.5, 2: 0.5 - 1e-15, 3: 1e-15}, (0, 1): {1: 1.0},
+            (1, 0): {0: 1.0}, (1, 1): {0: 0.75, 2: 0.25},
+            (2, 0): {2: 1.0}, (2, 1): {2: 1.0},
+            (3, 0): {3: 1.0}, (3, 1): {0: 1.0},
+        },
+        obs_fn={(s, a): {0: 1.0} for s in range(4) for a in range(2)},
+        rewards={(0, 0): 1.0, (0, 1): 2.0, (1, 0): -1.0, (1, 1): 0.5,
+                 (2, 0): 3.0, (2, 1): 1.0},
+        init={0: 1.0}, reach=[], avoid=[3],
+    )
+    tables = _uniform_blocks(m, 0.5)
+    got = _table_paths(tables[3][0])
+    assert {end for end, _, _ in got} == {1, 2}
+    assert {n for end, n, _ in got if end == 2} == {1, 2, 3}  # stopped on entry
+    assert got[2, 1, 1.0] == pytest.approx(0.25)
+    _assert_same_paths(got, uniform_paths(m, 0, 3, 0.5))
+
+
+def _block_value(m, tables, discount, s, depth, memo):
+    """Exact expected return of the block-sampled rollout, read off its
+    tables the way ``_Search.rollout`` walks them."""
+    key = (s, depth)
+    if key not in memo:
+        mean = m.absorbing_mean_rewards[s]
+        if mean is not None:
+            if discount == 1.0:
+                memo[key] = mean * depth
+            else:
+                memo[key] = mean * (1.0 - discount ** depth) / (1.0 - discount)
+        elif depth == 0:
+            memo[key] = 0.0
+        else:
+            cums, outs = tables[min(depth, len(tables) - 1)][s]
+            total = 0.0
+            lo = 0.0
+            for c, (end, v, f, n) in zip(cums, outs):
+                total += (c - lo) * (
+                    v + f * _block_value(m, tables, discount, end, depth - n, memo)
+                )
+                lo = c
+            memo[key] = total
+    return memo[key]
+
+
+@pytest.mark.parametrize("max_entries", [None, 6])
+@pytest.mark.parametrize("discount", [1.0, 0.95])
+@pytest.mark.parametrize("world", ["obstacle6", "refuel6"])
+def test_block_rollout_expectation_is_exact(world, discount, max_entries,
+                                             obstacle6):
+    m = obstacle6 if world == "obstacle6" else gen_refuel(GridSpec(n=6))
+    if max_entries is None:
+        tables = m._rollout_blocks(discount)
+    else:
+        # every state falls back to shorter blocks somewhere
+        tables = _uniform_blocks(m, discount, max_entries=max_entries)
+        assert any(
+            t is not None and all(n < BLOCK_STEPS for *_, n in t[1])
+            for t in tables[BLOCK_STEPS]
+        )
+    memo: dict = {}
+    for d in range(13):
+        want = uniform_values(m, d, discount)
+        for s in range(m.n_states):
+            got = _block_value(m, tables, discount, s, d, memo)
+            assert got == pytest.approx(want[s], rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "world, state, shielded, depth",
+    [
+        ("obstacle6", "g11", 0, 30),
+        ("obstacle6", "g24", 0, 7),  # a one-move remainder block
+        ("obstacle6", "g13", 0b0010, 20),
+        # paths absorbed mid-block, where the rewarding tail is closed
+        ("bandit", "start", 0, 7),
+    ],
+)
+def test_block_rollout_agrees_with_step_rollout(request, world, state, shielded,
+                                                depth):
+    m = request.getfixturevalue(world)
+    s = m.state_id[state]
+    cfg = Cfg(discount=0.95)
+    search = _Search(m, cfg, None, Random(11), Node())
+    blocks = [search.rollout(s, depth, shielded) for _ in range(20_000)]
+    rng = Random(12)
+    steps = [step_rollout(m, s, depth, 0.95, rng, shielded) for _ in range(20_000)]
+    se = math.hypot(stdev(blocks), stdev(steps)) / math.sqrt(20_000)
+    assert abs(fmean(blocks) - fmean(steps)) < 4 * se
+    if not shielded:
+        exact = uniform_values(m, depth, 0.95)[s]
+        assert abs(fmean(blocks) - exact) < 4 * stdev(blocks) / math.sqrt(20_000)
 
 
 # -- plan_step -------------------------------------------------------------

@@ -660,6 +660,26 @@ def test_region_file_rejects_unknown_state(obstacle6):
         parse_region(text, obstacle6)
 
 
+def test_region_file_cut_at_any_line_raises(obstacle6, obstacle6_region):
+    lines = serialize_region(obstacle6_region, obstacle6).splitlines(keepends=True)
+    assert "elements 47\n" in lines
+    for k in range(len(lines)):
+        with pytest.raises(RegionFileError):
+            parse_region("".join(lines[:k]), obstacle6)
+
+
+@pytest.mark.parametrize("line, match", [
+    ("elements 46", "declares 46 elements but holds 47"),
+    ("elements -1", "line 5: negative"),
+    ("elements", "line 5"),
+    ("elements 4 7", "line 5"),
+])
+def test_region_file_rejects_bad_count(obstacle6, obstacle6_region, line, match):
+    text = serialize_region(obstacle6_region, obstacle6)
+    with pytest.raises(RegionFileError, match=match):
+        parse_region(text.replace("elements 47", line), obstacle6)
+
+
 def test_region_file_requires_header(obstacle6):
     with pytest.raises(RegionFileError, match="header"):
         parse_region("W g11\n", obstacle6)
