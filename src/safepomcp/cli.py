@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-import time
 from pathlib import Path
 from random import Random
 from typing import Sequence
@@ -25,13 +24,7 @@ from typing import Sequence
 import yaml
 
 from .domains import GENERATORS, GridSpec, factored_gap_world, render_layout
-from .factored import (
-    decompose,
-    factored_elements_in_parent,
-    parse_factored,
-    propagate_factored_regions,
-    serialize_factored,
-)
+from .factored import factored_elements_in_parent, parse_factored, serialize_factored
 from .harness import (
     DEFAULT_STEP_CAP,
     DESK_PROFILE,
@@ -42,10 +35,9 @@ from .harness import (
     obtain_region,
     run_episode,
     run_experiment,
-    write_text_atomic,
 )
 from .model import ModelError, Pomdp, support_post
-from .modelio import dump_model, load_model
+from .modelio import dump_model, load_model, write_text_atomic
 from .pomcp import PlannerConfig
 from .shield import SafetyViolation, ShieldMode
 from .winning import (
@@ -55,9 +47,7 @@ from .winning import (
     RegionTimeout,
     WitnessError,
     allowed_actions,
-    compute_winning_region,
     parse_region,
-    powerset_supports,
     productivity_witness,
     serialize_region,
 )
@@ -97,21 +87,21 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _deadline(timeout: float) -> float | None:
-    return time.monotonic() + timeout if timeout > 0 else None
+def _build_region(m: Pomdp, family: str, timeout: float):
+    """Build a ``family`` region through ``obtain_region`` with no cache;
+    a ``timeout`` of 0 or less disables the deadline."""
+    build = obtain_region(m, family, None, timeout if timeout > 0 else None)
+    if build.timed_out:
+        raise RegionTimeout(f"{family} region computation exceeded {timeout}s")
+    return build
 
 
 def _cmd_region(args) -> int:
     m = load_model(args.model)
-    deadline = _deadline(args.timeout)
-    t0 = time.perf_counter()
+    family = "factored" if args.factored else "centralized"
+    build = _build_region(m, family, args.timeout)
+    region = build.region
     if args.factored:
-        region = propagate_factored_regions(
-            m,
-            decompose(m),
-            powerset_seeds=args.seeds == "powerset",
-            deadline=deadline,
-        )
         text = serialize_factored(region, m)
         n_elems = sum(len(r.elements) for r in region.regions)
         kind = (
@@ -119,18 +109,13 @@ def _cmd_region(args) -> int:
             f"({region.queue_pushes} queue pushes)"
         )
     else:
-        seeds = (
-            powerset_supports(range(m.n_states))
-            if args.seeds == "powerset" else None
-        )
-        region = compute_winning_region(m, seeds=seeds, deadline=deadline)
         text = serialize_region(region, m)
         n_elems = len(region.elements)
         kind = "centralized"
     write_text_atomic(Path(args.output), text)
     print(
         f"wrote {args.output}: {kind}, {n_elems} antichain elements "
-        f"in {time.perf_counter() - t0:.2f}s"
+        f"in {build.seconds:.2f}s"
     )
     return 0
 
@@ -169,13 +154,7 @@ def _cmd_plan(args) -> int:
             region = _load_region(args.region, m, mode)
         else:
             family = "factored" if mode.factored else "centralized"
-            timeout = args.timeout if args.timeout > 0 else None
-            build = obtain_region(m, family, None, timeout)
-            if build.timed_out:
-                raise RegionTimeout(
-                    f"{family} region computation exceeded {args.timeout}s"
-                )
-            region = build.region
+            region = _build_region(m, family, args.timeout).region
     given = {k: v for k, v in vars(args).items() if v is not None}
     cfg = _with_overrides(FULL_PROFILE if args.full else DESK_PROFILE, given)
     metrics = run_episode(
@@ -354,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-submodel regions over the model's partition")
     p.add_argument("--timeout", type=float, default=3600.0,
                    help="seconds before giving up (0 disables; default 3600)")
-    p.add_argument("--seeds", choices=("init", "powerset"), default="init",
-                   help="support-graph seeding (powerset only for tiny models)")
     p.set_defaults(func=_cmd_region)
 
     p = sub.add_parser("plan", help="run one episode against the simulator")

@@ -82,7 +82,6 @@ class Submodel:
     avoid_states: frozenset[int]
     adjacency: frozenset[int]
     initial_reach: frozenset[int] = frozenset()
-    parent_hash: str = ""
 
     def to_sub_mask(self, parent_mask: int) -> int:
         sub = 0
@@ -139,7 +138,7 @@ def decompose(m: Pomdp) -> list[Submodel]:
             outlets[i][t] = j
             inlets[j].add(t)
 
-    init_support = set(m.init_states)
+    init_support = set(states_from_mask(m.init_support))
     subs: list[Submodel] = []
     for i, lbl in enumerate(labels):
         extended = sorted(set(own[i]) | set(outlets[i]))
@@ -209,7 +208,6 @@ def decompose(m: Pomdp) -> list[Submodel]:
                 avoid_states=avoid_states,
                 adjacency=frozenset(),
                 initial_reach=frozenset(reach_states),
-                parent_hash=model_hash(m),
             )
         )
     for j, sub in enumerate(subs):
@@ -277,7 +275,6 @@ def _sub_seeds(sub: Submodel, powerset_seeds: bool,
 def propagate_factored_regions(
     m: Pomdp,
     subs: list[Submodel],
-    spec: Spec | None = None,
     *,
     powerset_seeds: bool = False,
     max_vertices: int | None = None,
@@ -285,9 +282,8 @@ def propagate_factored_regions(
 ) -> FactoredRegion:
     """Queue-based reach propagation to a fixpoint across submodels.
 
-    Reach sets are reset to reach-labels-within-each-submodel at entry
-    (from ``spec`` in parent ids when given, else the labels captured at
-    decomposition), so repeated calls on the same submodel list are
+    Reach sets are reset at entry to the reach labels captured at
+    decomposition, so repeated calls on the same submodel list are
     idempotent.  Then: compute a region for every submodel whose reach
     set is non-empty; repeatedly pop a pair (i, j), extend submodel i's
     reach set with outlet states owned by j whose singleton support is
@@ -313,14 +309,7 @@ def propagate_factored_regions(
             m, [m.init_support], max_vertices=cap, deadline=deadline
         )
     for sub in subs:
-        if spec is not None:
-            ext = states_from_mask(sub.extended_parent_mask)
-            sub.reach_states = {s for s in ext if spec.reach_mask >> s & 1}
-            sub.avoid_states = frozenset(
-                s for s in ext if spec.avoid_mask >> s & 1
-            )
-        else:
-            sub.reach_states = set(sub.initial_reach)
+        sub.reach_states = set(sub.initial_reach)
     graphs: dict[int, SupportGraph] = {}
     regions: list[WinningRegion] = []
     empty_spec = [sub.local_spec() for sub in subs]
@@ -388,8 +377,8 @@ def propagate_factored_regions(
     return FactoredRegion(
         subs=subs,
         regions=regions,
-        model_hash=subs[0].parent_hash if subs else "",
-        spec=spec if spec is not None else Spec.of(m),
+        model_hash=model_hash(m),
+        spec=Spec.of(m),
         queue_pushes=stats["pushes"],
         recomputes=stats["recomputes"],
     )

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -34,7 +33,7 @@ from .factored import (
 )
 from .model import Pomdp, sample_initial, sample_step
 from .model import support_post_all  # perfbench/layers.py patches this name
-from .modelio import load_model, model_hash
+from .modelio import load_model, model_hash, write_text_atomic
 from .pomcp import (
     BeliefCollapseError,
     PlannerConfig,
@@ -245,20 +244,6 @@ class RegionBuild:
     seconds: float
     cached: bool
     timed_out: bool = False
-
-
-def write_text_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` under a per-process temporary name in the
-    same directory and rename it into place, so no reader sees a
-    half-written file; on failure the temporary file is removed and an
-    existing ``path`` is left as it was."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def obtain_region(

@@ -21,6 +21,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 PROB_EPS = 1e-12
@@ -136,7 +137,9 @@ class Pomdp:
 
     @cached_property
     def init_support(self) -> int:
-        return mask_from_states(self.init_states)
+        """The initial states whose probability exceeds ``PROB_EPS``."""
+        row = (self.init_states, self.init_probs)
+        return mask_from_states(x for x, _ in _kept(row))
 
     @cached_property
     def canonical_hash(self) -> str:
@@ -164,19 +167,22 @@ class Pomdp:
         hi = max(self.rewards)
         return hi - lo if hi > lo else 1.0
 
-    # -- sampler tables ----------------------------------------------------
-    # Rows are split by support size: single outcome (no rng draw), two
-    # outcomes (one threshold compare), or wider (bisect on cumulative
-    # probabilities).  Sub-PROB_EPS entries are dropped so samples always
-    # stay inside the exact supports.
+    # -- sampler rows ------------------------------------------------------
+    # One entry per transition, observation or initial-belief row, in the
+    # format ``draw`` reads (see ``_sample_tables``); sub-PROB_EPS entries
+    # are dropped so samples always stay inside the exact supports.
 
     @cached_property
-    def _t_tables(self):
+    def _t_rows(self) -> list:
         return _sample_tables(self.transitions)
 
     @cached_property
-    def _z_tables(self):
+    def _z_rows(self) -> list:
         return _sample_tables(self.observations)
+
+    @cached_property
+    def _init_row(self):
+        return _sample_tables([(self.init_states, self.init_probs)])[0]
 
     @cached_property
     def _block_cache(self) -> dict[float, list]:
@@ -237,21 +243,6 @@ class Pomdp:
                     if p > PROB_EPS:
                         masks[a * no + o] |= 1 << s2
         return masks
-
-    @cached_property
-    def terminal(self) -> tuple[bool, ...]:
-        """States where simulation can stop early: absorbing with zero reward."""
-        out = []
-        na = self.n_actions
-        for s in range(self.n_states):
-            base = s * na
-            ok = True
-            for a in range(na):
-                if self._succ_masks[base + a] != 1 << s or self.rewards[base + a] != 0.0:
-                    ok = False
-                    break
-            out.append(ok)
-        return tuple(out)
 
     def is_absorbing(self, s: int) -> bool:
         base = s * self.n_actions
@@ -359,45 +350,30 @@ def _block_table(outs: list, discount: float) -> tuple[tuple, tuple]:
             tuple((end, v, discount ** n, n) for (end, v, n), _ in outs))
 
 
-def _sample_tables(rows: Sequence[Row]):
-    """Split rows by support size for the samplers' fast paths.
+def _sample_tables(rows: Sequence[Row]) -> list:
+    """One sampler row per row, in the format :func:`draw` reads.
 
-    ``single[i]`` holds the sole outcome of a deterministic row, -1 for a
-    two-outcome row (one threshold compare against ``duo_p``) or -2 for a
-    wider row (bisect on cumulative probabilities in ``multi``).
+    Entries of at most ``PROB_EPS`` are dropped first.  A row left with a
+    single outcome becomes that outcome's id, an ``int``, and costs no
+    draw.  Any other row becomes ``(outs, cums, total)``: the outcome ids,
+    their cumulative probabilities and the last of those, sampled as
+    ``outs[bisect_right(cums, u * total)]`` for a uniform ``u`` in [0, 1).
+    A two-outcome row ``(x0, p0), (x1, p1)`` becomes
+    ``((x0, x1), (p0 / (p0 + p1),), 1.0)``, so its draw is the single
+    comparison ``u < p0 / (p0 + p1)``.
     """
-    single = []
-    duo_p = []
-    duo_a = []
-    duo_b = []
-    multi = []
+    out: list = []
     for row in rows:
         kept = _kept(row)
         if len(kept) == 1:
-            single.append(kept[0][0])
-            duo_p.append(0.0)
-            duo_a.append(-1)
-            duo_b.append(-1)
-            multi.append(None)
+            out.append(kept[0][0])
         elif len(kept) == 2:
             (x0, p0), (x1, p1) = kept
-            single.append(-1)
-            duo_p.append(p0 / (p0 + p1))
-            duo_a.append(x0)
-            duo_b.append(x1)
-            multi.append(None)
+            out.append(((x0, x1), (p0 / (p0 + p1),), 1.0))
         else:
-            single.append(-2)
-            duo_p.append(0.0)
-            duo_a.append(-1)
-            duo_b.append(-1)
-            cum = []
-            acc = 0.0
-            for _, p in kept:
-                acc += p
-                cum.append(acc)
-            multi.append((tuple(x for x, _ in kept), tuple(cum), acc))
-    return single, duo_p, duo_a, duo_b, multi
+            cums = tuple(accumulate(p for _, p in kept))
+            out.append((tuple(x for x, _ in kept), cums, cums[-1]))
+    return out
 
 
 def _normalize_row(
@@ -591,6 +567,18 @@ def support_post_all(m: Pomdp, support: int, a: int) -> list[tuple[int, int]]:
     return out
 
 
+def draw(row, random) -> int:
+    """Sample an outcome id from a sampler row (see ``_sample_tables``).
+
+    ``random`` returns uniform floats in [0, 1), as ``Random.random`` does.
+    A single-outcome row does not call it; any other row calls it once.
+    """
+    if type(row) is int:
+        return row
+    outs, cums, total = row
+    return outs[bisect_right(cums, random() * total)]
+
+
 def sample_step(m: Pomdp, s: int, a: int, rng) -> SimStep:
     """Sample one environment step (s', o, r) from state ``s`` under ``a``.
 
@@ -600,34 +588,12 @@ def sample_step(m: Pomdp, s: int, a: int, rng) -> SimStep:
     """
     na = m.n_actions
     idx = s * na + a
-    t_single, t2p, t2a, t2b, t_multi = m._t_tables
-    s2 = t_single[idx]
-    if s2 < 0:
-        if s2 == -1:
-            s2 = t2a[idx] if rng.random() < t2p[idx] else t2b[idx]
-        else:
-            outs, cums, total = t_multi[idx]
-            s2 = outs[bisect_right(cums, rng.random() * total)]
-    jdx = s2 * na + a
-    z_single, z2p, z2a, z2b, z_multi = m._z_tables
-    o = z_single[jdx]
-    if o < 0:
-        if o == -1:
-            o = z2a[jdx] if rng.random() < z2p[jdx] else z2b[jdx]
-        else:
-            outs, cums, total = z_multi[jdx]
-            o = outs[bisect_right(cums, rng.random() * total)]
+    s2 = draw(m._t_rows[idx], rng.random)
+    o = draw(m._z_rows[s2 * na + a], rng.random)
     return SimStep(s2, o, m.rewards[idx])
 
 
 def sample_initial(m: Pomdp, rng) -> int:
-    """Draw a state from the initial belief."""
-    if len(m.init_states) == 1:
-        return m.init_states[0]
-    r = rng.random()
-    acc = 0.0
-    for s, p in zip(m.init_states, m.init_probs):
-        acc += p
-        if r < acc:
-            return s
-    return m.init_states[-1]
+    """Draw a state from the initial belief; entries of at most
+    ``PROB_EPS`` are never drawn."""
+    return draw(m._init_row, rng.random)

@@ -25,6 +25,7 @@ byte-identical files.  ``model_hash`` fingerprints that canonical text.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from .model import (
@@ -257,5 +258,19 @@ def load_model(path: str | Path, *, strict_reach: bool = False) -> Pomdp:
     return parse_model(Path(path).read_text(), strict_reach=strict_reach)
 
 
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` under a per-process temporary name in the
+    same directory and rename it into place, so no reader sees a
+    half-written file; on failure the temporary file is removed and an
+    existing ``path`` is left as it was."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def dump_model(m: Pomdp, path: str | Path) -> None:
-    Path(path).write_text(serialize_model(m))
+    write_text_atomic(Path(path), serialize_model(m))

@@ -72,7 +72,6 @@ class PlannerConfig:
     particles: int = 10_000
     ucb_c: float | None = None
     discount: float = 1.0
-    rollout: str = "uniform"
     seed: int = 0
 
     def __post_init__(self):
@@ -82,8 +81,6 @@ class PlannerConfig:
             raise ValueError(f"discount {self.discount} outside (0, 1]")
         if self.ucb_c is not None and self.ucb_c < 0.0:
             raise ValueError("ucb constant must be non-negative")
-        if self.rollout != "uniform":
-            raise ValueError(f"unknown rollout policy {self.rollout!r}")
 
 
 class ActionEdge:
@@ -166,9 +163,7 @@ class _Search:
 
     __slots__ = (
         "m", "na", "gamma", "c", "rng", "shield", "absorb", "blocks",
-        "t_single", "t2p", "t2a", "t2b", "t_multi",
-        "z_single", "z2p", "z2a", "z2b", "z_multi", "rewards",
-        "root", "root_ok",
+        "t_rows", "z_rows", "rewards", "root", "root_ok",
     )
 
     def __init__(self, m: Pomdp, cfg: PlannerConfig, shield, rng: Random,
@@ -182,8 +177,8 @@ class _Search:
         self.shield = shield if shield is not None and shield.backtracking else None
         self.absorb = m.absorbing_mean_rewards
         self.blocks = m._rollout_blocks(cfg.discount)
-        self.t_single, self.t2p, self.t2a, self.t2b, self.t_multi = m._t_tables
-        self.z_single, self.z2p, self.z2a, self.z2b, self.z_multi = m._z_tables
+        self.t_rows = m._t_rows
+        self.z_rows = m._z_rows
         self.rewards = m.rewards
         self.root = root
         # lazily computed exact verdicts per root action (True/False/None)
@@ -227,22 +222,16 @@ class _Search:
                 node.shielded |= 1 << a
                 node.edges[a] = None
                 continue
+            # model.draw, inlined for the successor and the observation
             idx = s * na + a
-            s2 = self.t_single[idx]
-            if s2 < 0:
-                if s2 == -1:
-                    s2 = self.t2a[idx] if rng.random() < self.t2p[idx] else self.t2b[idx]
-                else:
-                    outs, cums, total = self.t_multi[idx]
-                    s2 = outs[bisect_right(cums, rng.random() * total)]
-            jdx = s2 * na + a
-            o = self.z_single[jdx]
-            if o < 0:
-                if o == -1:
-                    o = self.z2a[jdx] if rng.random() < self.z2p[jdx] else self.z2b[jdx]
-                else:
-                    outs, cums, total = self.z_multi[jdx]
-                    o = outs[bisect_right(cums, rng.random() * total)]
+            s2 = self.t_rows[idx]
+            if type(s2) is not int:
+                outs, cums, total = s2
+                s2 = outs[bisect_right(cums, rng.random() * total)]
+            o = self.z_rows[s2 * na + a]
+            if type(o) is not int:
+                outs, cums, total = o
+                o = outs[bisect_right(cums, rng.random() * total)]
             edge = node.edges[a]
             child = edge.children.get(o)
             if child is None:
@@ -287,14 +276,10 @@ class _Search:
             idx = s * na + a
             total = self.rewards[idx]
             g = self.gamma
-            s2 = self.t_single[idx]
-            if s2 < 0:
-                if s2 == -1:
-                    s2 = self.t2a[idx] if rng_random() < self.t2p[idx] else self.t2b[idx]
-                else:
-                    outs, cums, tot = self.t_multi[idx]
-                    s2 = outs[bisect_right(cums, rng_random() * tot)]
-            s = s2
+            s = self.t_rows[idx]
+            if type(s) is not int:  # model.draw, inlined
+                outs, cums, tot = s
+                s = outs[bisect_right(cums, rng_random() * tot)]
             depth -= 1
         blocks = self.blocks
         k_full = len(blocks) - 1

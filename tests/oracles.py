@@ -13,7 +13,7 @@ from bisect import bisect_right
 from itertools import combinations
 
 from safepomcp import Pomdp, successors_mask
-from safepomcp.model import PROB_EPS
+from safepomcp.model import PROB_EPS, draw
 
 
 def all_supports(n_states: int) -> list[frozenset[int]]:
@@ -262,6 +262,66 @@ def uniform_paths(m: Pomdp, s: int, steps: int, discount: float) -> dict:
     return out
 
 
+def split_tables(rows):
+    """Sampler rows as five parallel lists, split by support size.
+
+    Entries of at most ``PROB_EPS`` are dropped.  ``single[i]`` holds the
+    sole outcome of a one-outcome row, -1 for a two-outcome row (``u <
+    duo_p[i]`` picks ``duo_a[i]``, else ``duo_b[i]``) or -2 for a wider
+    row, whose ``multi[i]`` is ``(outs, cums, total)`` for a bisect.  It is
+    the reference for the one-entry-per-row format that ``model.draw``
+    reads, which must make the same draws and comparisons.
+    """
+    single, duo_p, duo_a, duo_b, multi = [], [], [], [], []
+    for outs, probs in rows:
+        kept = [(x, p) for x, p in zip(outs, probs) if p > PROB_EPS]
+        if len(kept) == 1:
+            single.append(kept[0][0])
+            duo_p.append(0.0)
+            duo_a.append(-1)
+            duo_b.append(-1)
+            multi.append(None)
+        elif len(kept) == 2:
+            (x0, p0), (x1, p1) = kept
+            single.append(-1)
+            duo_p.append(p0 / (p0 + p1))
+            duo_a.append(x0)
+            duo_b.append(x1)
+            multi.append(None)
+        else:
+            single.append(-2)
+            duo_p.append(0.0)
+            duo_a.append(-1)
+            duo_b.append(-1)
+            cum = []
+            acc = 0.0
+            for _, p in kept:
+                acc += p
+                cum.append(acc)
+            multi.append((tuple(x for x, _ in kept), tuple(cum), acc))
+    return single, duo_p, duo_a, duo_b, multi
+
+
+def _split_draw(tables, i: int, rng) -> int:
+    single, duo_p, duo_a, duo_b, multi = tables
+    x = single[i]
+    if x == -1:
+        return duo_a[i] if rng.random() < duo_p[i] else duo_b[i]
+    if x == -2:
+        outs, cums, total = multi[i]
+        return outs[bisect_right(cums, rng.random() * total)]
+    return x
+
+
+def split_sample_step(m: Pomdp, s: int, a: int, rng) -> tuple[int, int]:
+    """``sample_step``'s successor and observation drawn from
+    ``split_tables``: the successor first, then the observation, one
+    uniform draw for each row with more than one outcome."""
+    na = m.n_actions
+    s2 = _split_draw(split_tables(m.transitions), s * na + a, rng)
+    return s2, _split_draw(split_tables(m.observations), s2 * na + a, rng)
+
+
 def step_rollout(m: Pomdp, s: int, depth: int, discount: float, rng,
                  shielded: int = 0) -> float:
     """A uniform-random rollout sampled one move at a time.
@@ -270,10 +330,10 @@ def step_rollout(m: Pomdp, s: int, depth: int, discount: float, rng,
     power of two) and one more picks the successor of a two- or
     wider-outcome row; an absorbing state closes the tail in closed form.
     The first move avoids the actions set in ``shielded``.  It reads the
-    package's sampler tables, so that it draws from the same filtered rows
+    package's sampler rows, so that it draws from the same filtered rows
     as the block-sampled rollout it is the reference for.
     """
-    t_single, t2p, t2a, t2b, t_multi = m._t_tables
+    t_rows = m._t_rows
     absorb = m.absorbing_mean_rewards
     na = m.n_actions
     abits = na.bit_length() - 1 if na & (na - 1) == 0 else -1
@@ -298,14 +358,7 @@ def step_rollout(m: Pomdp, s: int, depth: int, discount: float, rng,
         idx = s * na + a
         total += g * m.rewards[idx]
         g *= discount
-        s2 = t_single[idx]
-        if s2 < 0:
-            if s2 == -1:
-                s2 = t2a[idx] if rng.random() < t2p[idx] else t2b[idx]
-            else:
-                outs, cums, tot = t_multi[idx]
-                s2 = outs[bisect_right(cums, rng.random() * tot)]
-        s = s2
+        s = draw(t_rows[idx], rng.random)
     return total
 
 

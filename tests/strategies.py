@@ -1,5 +1,7 @@
 """Shared hypothesis strategies for randomised model tests."""
 
+import dataclasses
+
 from hypothesis import strategies as st
 
 from safepomcp import make_pomdp
@@ -71,3 +73,28 @@ def support_of(draw, m):
     free = [s for s in range(m.n_states) if not (m.avoid_mask >> s) & 1]
     states = draw(st.sets(st.sampled_from(free), min_size=1))
     return sum(1 << s for s in states)
+
+
+def with_negligible_entries(m, t_rows=(), z_rows=()):
+    """``m`` with a 1e-13 entry added to each listed transition and
+    observation row that leaves out some outcome; indices past the end of
+    a table are skipped.  The sampler and the support algebra drop such
+    entries."""
+
+    def widen(rows, picks, n):
+        rows = list(rows)
+        for k in picks:
+            if k >= len(rows):
+                continue
+            outs, probs = rows[k]
+            missing = [x for x in range(n) if x not in outs]
+            if missing:
+                pairs = sorted([*zip(outs, probs), (missing[0], 1e-13)])
+                rows[k] = (tuple(x for x, _ in pairs), tuple(p for _, p in pairs))
+        return tuple(rows)
+
+    return dataclasses.replace(
+        m,
+        transitions=widen(m.transitions, t_rows, m.n_states),
+        observations=widen(m.observations, z_rows, m.n_obs),
+    )

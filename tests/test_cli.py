@@ -56,6 +56,21 @@ def test_generate_gap_family(tmp_path, capsys):
     assert "37 states" in capsys.readouterr().out
 
 
+def test_generate_output_kept_when_rename_fails(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "w.pomdp"
+    out.write_text("previous model\n")
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr("safepomcp.modelio.os.replace", fail)
+    rc = main(["generate", "--family", "obstacle", "--n", "3", "-o", str(out)])
+    assert rc == 2
+    assert "rename failed" in capsys.readouterr().err
+    assert out.read_text() == "previous model\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
 def test_generate_rejects_bad_cell(tmp_path, capsys):
     rc = main(["generate", "--family", "obstacle", "--n", "3",
                "--obstacle", "g99", "-o", str(tmp_path / "w.pomdp")])
@@ -85,12 +100,6 @@ def test_region_factored(workdir, tmp_path, capsys):
     assert text.startswith("# factored winning regions\n")
 
 
-def test_region_powerset_seeds(workdir, tmp_path):
-    rc = main(["region", str(workdir / "world.pomdp"), "--seeds", "powerset",
-               "-o", str(tmp_path / "w.region")])
-    assert rc == 0
-
-
 def test_region_timeout_exit(workdir, tmp_path, capsys):
     rc = main(["region", str(workdir / "world.pomdp"), "--timeout", "1e-9",
                "-o", str(tmp_path / "w.region")])
@@ -102,12 +111,12 @@ def test_region_timeout_exit(workdir, tmp_path, capsys):
 def test_region_graph_cap_exit(workdir, tmp_path, capsys, monkeypatch, kind):
     if kind == "factored":
         monkeypatch.setattr(
-            "safepomcp.cli.propagate_factored_regions",
+            "safepomcp.harness.propagate_factored_regions",
             functools.partial(propagate_factored_regions, max_vertices=3),
         )
     else:
         monkeypatch.setattr(
-            "safepomcp.cli.compute_winning_region",
+            "safepomcp.harness.compute_winning_region",
             functools.partial(compute_winning_region, max_vertices=3),
         )
     extra = ["--factored"] if kind == "factored" else []
@@ -126,7 +135,7 @@ def test_region_output_kept_when_rename_fails(workdir, tmp_path, capsys,
     def fail(src, dst):
         raise OSError("rename failed")
 
-    monkeypatch.setattr("safepomcp.harness.os.replace", fail)
+    monkeypatch.setattr("safepomcp.modelio.os.replace", fail)
     rc = main(["region", str(workdir / "world.pomdp"), "-o", str(out)])
     assert rc == 2
     assert "rename failed" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import csv
 import io
 import re
 import statistics
+from random import Random
 
 import pytest
 
@@ -15,6 +16,7 @@ from safepomcp import (
     compute_winning_region,
     gen_refuel,
     make_pomdp,
+    sample_initial,
     WinningRegion,
 )
 from safepomcp.harness import (
@@ -72,6 +74,26 @@ def test_episode_started_at_goal_is_trivial():
     assert met.unsafe == 0
     assert met.step_time_mean is None and met.step_time_median is None
     assert met.shield_stats is None
+
+
+def test_zero_probability_initial_entry_stays_out_of_the_start():
+    """``init 1 0.0`` names an avoid state with probability zero: it is no
+    part of the start support, so the start is winning and a shielded
+    episode runs."""
+    m = make_pomdp(
+        states=3, actions=1, observations=1,
+        transitions={(0, 0): {2: 1.0}, (1, 0): {1: 1.0}, (2, 0): {2: 1.0}},
+        obs_fn={(s, 0): {0: 1.0} for s in range(3)},
+        rewards={},
+        init={0: 1.0, 1: 0.0}, reach=[2], avoid=[1],
+    )
+    assert m.init_support == 0b001
+    region = compute_winning_region(m)
+    assert region.contains(m.init_support)
+    met = run_episode(m, region, OTF, TINY, 5, 0)
+    assert met.reached and met.unsafe == 0
+    rng = Random(0)
+    assert {sample_initial(m, rng) for _ in range(200)} == {0}
 
 
 def test_episode_unshielded_can_crash_repeatedly(obstacle6):
@@ -342,7 +364,7 @@ def test_experiment_output_kept_when_rename_fails(tmp_path, tiny3_src,
     def fail(src, dst):
         raise OSError("rename failed")
 
-    monkeypatch.setattr("safepomcp.harness.os.replace", fail)
+    monkeypatch.setattr("safepomcp.modelio.os.replace", fail)
     cfg = ExperimentConfig(
         sources=(tiny3_src,),
         modes=(NO_SHIELD,),

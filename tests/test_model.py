@@ -1,5 +1,6 @@
 """Core model construction, belief-support algebra and the step sampler."""
 
+import math
 import random
 import warnings
 from collections import Counter
@@ -26,8 +27,13 @@ from safepomcp import (
     support_post_all,
 )
 
-from oracles import candidate_post_all, post_branches, support_states
-from strategies import small_pomdps, support_of
+from oracles import (
+    candidate_post_all,
+    post_branches,
+    split_sample_step,
+    support_states,
+)
+from strategies import small_pomdps, support_of, with_negligible_entries
 
 
 class CountingRandom(random.Random):
@@ -40,6 +46,26 @@ class CountingRandom(random.Random):
     def random(self):
         self.calls += 1
         return super().random()
+
+
+class ScriptedRandom(random.Random):
+    """Uniform draws taken in turn, cyclically, from a fixed list."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = values
+        self.calls = 0
+
+    def random(self):
+        u = self.values[self.calls % len(self.values)]
+        self.calls += 1
+        return u
+
+
+TOP = math.nextafter(1.0, 0.0)  # the largest uniform draw below 1
+
+# rows of small_pomdps that may gain a 1e-13 entry (at most 6 * 3 rows)
+NEGLIGIBLE_ROWS = st.lists(st.integers(min_value=0, max_value=17), max_size=4)
 
 
 def _dirac_chain(k=3):
@@ -187,6 +213,21 @@ def test_sample_dirac_rows_consume_no_draws():
     assert rng.calls == 0
 
 
+def test_sample_extreme_draws_pick_first_and_last_kept_outcomes():
+    """The dropped 1e-13 entry leaves the kept row summing to less than 1;
+    the draws 0 and the largest float below 1 still pick its first and
+    last kept outcomes."""
+    m = make_pomdp(
+        states=4, actions=1, observations=1,
+        transitions={(0, 0): {0: 1e-13, 1: 0.5, 2: 0.25, 3: 0.25 - 1e-13},
+                     **{(s, 0): {s: 1.0} for s in (1, 2, 3)}},
+        obs_fn={(s, 0): {0: 1.0} for s in range(4)},
+        rewards={}, init={0: 1.0}, reach=[], avoid=[],
+    )
+    assert sample_step(m, 0, 0, ScriptedRandom([0.0])).state == 1
+    assert sample_step(m, 0, 0, ScriptedRandom([TOP])).state == 3
+
+
 def test_sample_overshoot_frequency(obstacle6):
     m = obstacle6
     s = m.state_id["g11"]
@@ -251,6 +292,45 @@ def test_sample_reward_matches_table(obstacle6):
 
 
 # -- randomised properties -------------------------------------------------
+
+
+def _state_actions(data, m):
+    return data.draw(st.lists(
+        st.tuples(st.integers(0, m.n_states - 1), st.integers(0, m.n_actions - 1)),
+        min_size=1, max_size=20,
+    ), label="steps")
+
+
+@given(m=small_pomdps(), t_tiny=NEGLIGIBLE_ROWS, z_tiny=NEGLIGIBLE_ROWS,
+       seed=st.integers(min_value=0, max_value=2**32 - 1), data=st.data())
+def test_sample_step_matches_split_tables(m, t_tiny, z_tiny, seed, data):
+    """Same seed, same (s', o) as the five-list reference sampler, and the
+    same rng state after every call."""
+    m = with_negligible_entries(m, t_tiny, z_tiny)
+    rng = random.Random(seed)
+    ref = random.Random(seed)
+    for s, a in _state_actions(data, m):
+        step = sample_step(m, s, a, rng)
+        assert (step.state, step.obs) == split_sample_step(m, s, a, ref)
+        assert rng.getstate() == ref.getstate()
+
+
+@given(m=small_pomdps(), t_tiny=NEGLIGIBLE_ROWS, z_tiny=NEGLIGIBLE_ROWS,
+       data=st.data())
+def test_sampled_step_is_in_exact_posterior(m, t_tiny, z_tiny, data):
+    """Whatever the uniform draws, 0 and the largest float below 1
+    included, the sampled s' is in ``support_post`` of {s} for the sampled
+    o."""
+    m = with_negligible_entries(m, t_tiny, z_tiny)
+    draws = data.draw(st.lists(
+        st.one_of(st.sampled_from([0.0, TOP]),
+                  st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+        min_size=1, max_size=8,
+    ), label="draws")
+    rng = ScriptedRandom(draws)
+    for s, a in _state_actions(data, m):
+        step = sample_step(m, s, a, rng)
+        assert support_post(m, 1 << s, a, step.obs) >> step.state & 1
 
 
 @given(m=small_pomdps(), data=st.data())

@@ -1,6 +1,5 @@
 """Tree search: UCB selection, planning, bookkeeping and root advancement."""
 
-import dataclasses
 import math
 from random import Random
 from statistics import fmean, stdev
@@ -33,7 +32,7 @@ from safepomcp.model import BLOCK_STEPS, _uniform_blocks
 from safepomcp.pomcp import ActionEdge, _Search
 
 from oracles import horizon_q, step_rollout, uniform_paths, uniform_values
-from strategies import small_pomdps
+from strategies import small_pomdps, with_negligible_entries
 
 DESK = Cfg(simulations=2_000, depth=100, particles=1_000)
 
@@ -87,7 +86,6 @@ def test_config_defaults_match_full_profile():
         {"discount": 0.0},
         {"discount": 1.5},
         {"ucb_c": -2.0},
-        {"rollout": "greedy"},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -169,26 +167,13 @@ def _assert_same_paths(got: dict, want: dict):
         assert got[key] == pytest.approx(p, rel=1e-9, abs=1e-12)
 
 
-def _with_negligible_entries(m, rows: list[int]):
-    """``m`` with a 1e-13 transition entry added to each listed row that
-    leaves out some state; the sampler drops such entries."""
-    trans = list(m.transitions)
-    for k in rows:
-        outs, probs = trans[k]
-        missing = [x for x in range(m.n_states) if x not in outs]
-        if missing:
-            pairs = sorted([*zip(outs, probs), (missing[0], 1e-13)])
-            trans[k] = (tuple(x for x, _ in pairs), tuple(p for _, p in pairs))
-    return dataclasses.replace(m, transitions=tuple(trans))
-
-
 @given(
     m=small_pomdps(),
     discount=st.sampled_from([1.0, 0.5]),
     tiny=st.lists(st.integers(min_value=0, max_value=17), max_size=4),
 )
 def test_block_tables_match_path_enumeration(m, discount, tiny):
-    m = _with_negligible_entries(m, [k for k in tiny if k < len(m.transitions)])
+    m = with_negligible_entries(m, tiny)
     tables = _uniform_blocks(m, discount)
     assert len(tables) == BLOCK_STEPS + 1
     for k in range(1, BLOCK_STEPS + 1):
