@@ -27,8 +27,8 @@ def main():
     union = propagate_factored_regions(m, decompose(m))
 
     print("per-room reach sets after propagation:")
-    for sub in union.subs:
-        names = sorted(m.state_names[s] for s in sub.reach_states)
+    for sub, reg in zip(union.subs, union.regions):
+        names = sorted(m.names_from_mask(sub.to_parent_mask(reg.spec.reach_mask)))
         print(f"  {sub.label}: {names}")
 
     u = m.support_from_names(args.support.split())

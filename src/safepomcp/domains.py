@@ -161,6 +161,41 @@ class _Grid:
         }
         return tuple(sorted(cells))
 
+    def stations(self) -> set[str]:
+        """Refuel station cells: the spec's, else the start cell and the
+        first-column cell just below the top row of rooms."""
+        if self.gs.stations is not None:
+            stations = set(self.gs.stations)
+        else:
+            br = self.row_bounds[0] if self.row_bounds else 1
+            stations = {self.start, cell_name(min(br + 1, self.n), 1, self.n)}
+        for c in stations:
+            self._check_cell(c, "station")
+        return stations
+
+    def rocks(self) -> list[str]:
+        """Rock cells in rock-index order: the spec's, else the first three
+        on-grid default candidates that are neither start nor goal."""
+        if self.gs.rocks is not None:
+            rocks = list(self.gs.rocks)
+        else:
+            n = self.n
+            candidates = [
+                (2, 2), (3, n - 1), (n - 1, 3), (n - 2, n - 2), (2, n - 2),
+                (n - 1, n - 1),
+            ]
+            rocks = []
+            for r, c in candidates:
+                if len(rocks) == 3:
+                    break
+                if 1 <= r <= n and 1 <= c <= n:
+                    name = cell_name(r, c, n)
+                    if name not in (self.start, self.goal) and name not in rocks:
+                        rocks.append(name)
+        for c in rocks:
+            self._check_cell(c, "rock")
+        return rocks
+
     def room_of(self, cell: str) -> str:
         r, c = self.coords[cell]
         ri = sum(1 for b in self.row_bounds if r > b)
@@ -291,14 +326,8 @@ def gen_refuel(gs: GridSpec) -> Pomdp:
     1 - obs_noise).
     """
     g = _Grid(gs)
-    n, e_max = gs.n, gs.battery
-    if gs.stations is not None:
-        stations = set(gs.stations)
-    else:
-        br = g.row_bounds[0] if g.row_bounds else 1
-        stations = {g.start, cell_name(min(br + 1, n), 1, n)}
-    for c in stations:
-        g._check_cell(c, "station")
+    e_max = gs.battery
+    stations = g.stations()
     obstacles = set(g.obstacles)
     levels = e_max + 1
     cid = {c: i for i, c in enumerate(g.cells)}
@@ -393,23 +422,7 @@ def gen_rocksample(gs: GridSpec) -> Pomdp:
     the reach condition.  Obstacle cells are not used by this family.
     """
     g = _Grid(gs)
-    n = gs.n
-    rocks = list(gs.rocks) if gs.rocks is not None else None
-    if rocks is None:
-        count = 3
-        candidates = [
-            (2, 2), (3, n - 1), (n - 1, 3), (n - 2, n - 2), (2, n - 2), (n - 1, n - 1)
-        ]
-        rocks = []
-        for r, c in candidates:
-            if len(rocks) == count:
-                break
-            if 1 <= r <= n and 1 <= c <= n:
-                name = cell_name(r, c, n)
-                if name not in (g.start, g.goal) and name not in rocks:
-                    rocks.append(name)
-    for c in rocks:
-        g._check_cell(c, "rock")
+    rocks = g.rocks()
     n_rocks = len(rocks)
     combos = 3 ** n_rocks
     cid = {c: i for i, c in enumerate(g.cells)}
@@ -562,30 +575,8 @@ def render_layout(gs: GridSpec, family: str = "obstacle") -> str:
     """Plain-text floor plan: walls, doors and cell markers."""
     g = _Grid(gs)
     n = gs.n
-    stations = set()
-    rocks = set()
-    if family == "refuel":
-        if gs.stations is not None:
-            stations = set(gs.stations)
-        else:
-            br = g.row_bounds[0] if g.row_bounds else 1
-            stations = {g.start, cell_name(min(br + 1, n), 1, n)}
-    if family == "rocksample":
-        mdl_rocks = gs.rocks
-        if mdl_rocks is None:
-            candidates = [
-                (2, 2), (3, n - 1), (n - 1, 3), (n - 2, n - 2), (2, n - 2),
-                (n - 1, n - 1),
-            ]
-            mdl_rocks = []
-            for r, c in candidates:
-                if len(mdl_rocks) == 3:
-                    break
-                if 1 <= r <= n and 1 <= c <= n:
-                    name = cell_name(r, c, n)
-                    if name not in (g.start, g.goal) and name not in mdl_rocks:
-                        mdl_rocks.append(name)
-        rocks = set(mdl_rocks)
+    stations = g.stations() if family == "refuel" else set()
+    rocks = set(g.rocks()) if family == "rocksample" else set()
 
     def mark(cell: str) -> str:
         if cell == g.start:

@@ -6,7 +6,10 @@ the *outlet* states it can exit into (made absorbing there), and computes a
 local winning region.  Reach sets are then propagated between neighbours to
 a fixpoint: whenever a singleton outlet support is winning in its owner's
 region, the exiting submodel may treat that outlet as a local reach state
-and recompute.  On obstacle n=6 and n=8 and on the gap world the union of
+and recompute.  Submodels and factored regions are immutable values: a
+room's initial objective is its submodel's ``pomdp`` reach and avoid sets,
+and the reach set grown by propagation is only held in the spec of that
+room's region.  On obstacle n=6 and n=8 and on the gap world the union of
 the final per-submodel regions is a productive winning region of the full
 model inside the centralized one, possibly a strict subset of it (a support
 can be winning only via a detour through a neighbouring room, which the
@@ -31,9 +34,9 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection
+from typing import Collection, Sequence
 
 from .model import (
     PROB_EPS,
@@ -46,26 +49,32 @@ from .model import (
 )
 from .modelio import model_hash
 from .winning import (
+    DEFAULT_VERTEX_CAP,
+    RegionFileError,
     Spec,
     SupportGraph,
     WinningRegion,
     antichain,
     build_support_graph,
+    check_element_count,
     compute_winning_region,
     covered,
+    element_count,
     holders_index,
+    powerset_supports,
     reachable_supports,
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Submodel:
     """One partition cell of the model, with absorbing outlet states.
 
     State ids inside ``pomdp`` are dense sub-ids; ``to_parent`` maps them
-    back, and all the set-valued fields below hold parent ids.
-    ``reach_states`` grows during propagation; everything else is fixed at
-    decomposition time.
+    back, and the set-valued fields below hold parent ids.  The room's own
+    objective is ``pomdp``'s reach and avoid sets: the model's goal and
+    avoid states among the room's extended states.  ``adjacency`` holds
+    the rooms with an outlet into this one.
     """
 
     index: int
@@ -76,12 +85,8 @@ class Submodel:
     own_parent_mask: int
     extended_parent_mask: int
     outlets: dict[int, int]
-    inlets: tuple[int, ...]
     init_states: tuple[int, ...]
-    reach_states: set[int]
-    avoid_states: frozenset[int]
     adjacency: frozenset[int]
-    initial_reach: frozenset[int] = frozenset()
 
     def to_sub_mask(self, parent_mask: int) -> int:
         sub = 0
@@ -96,12 +101,6 @@ class Submodel:
         for s in states_from_mask(sub_mask):
             out |= 1 << tp[s]
         return out
-
-    def local_spec(self) -> Spec:
-        return Spec(
-            self.to_sub_mask(mask_from_states(self.reach_states)),
-            self.to_sub_mask(mask_from_states(self.avoid_states)),
-        )
 
 
 def decompose(m: Pomdp) -> list[Submodel]:
@@ -126,6 +125,7 @@ def decompose(m: Pomdp) -> list[Submodel]:
     own_masks = [mask_from_states(states) for states in own]
     outlets: list[dict[int, int]] = [dict() for _ in range(n_subs)]
     inlets: list[set[int]] = [set() for _ in range(n_subs)]
+    adjacency: list[set[int]] = [set() for _ in range(n_subs)]
     na = m.n_actions
     succ_masks = m._succ_masks
     for s in range(m.n_states):
@@ -137,6 +137,7 @@ def decompose(m: Pomdp) -> list[Submodel]:
             j = label_index[m.partition[t]]
             outlets[i][t] = j
             inlets[j].add(t)
+            adjacency[j].add(i)
 
     init_support = set(states_from_mask(m.init_support))
     subs: list[Submodel] = []
@@ -170,8 +171,6 @@ def decompose(m: Pomdp) -> list[Submodel]:
                 f"submodel {lbl} has no entry states; its region stays empty",
                 stacklevel=2,
             )
-        reach_states = {s for s in extended if s in m.reach}
-        avoid_states = frozenset(s for s in extended if s in m.avoid)
         init_dist = (
             {from_parent[s]: 1.0 / len(init_states) for s in init_states}
             if init_states
@@ -189,8 +188,8 @@ def decompose(m: Pomdp) -> list[Submodel]:
             obs_fn=obs_fn,
             rewards=rewards,
             init=init_dist,
-            reach=[from_parent[s] for s in sorted(reach_states)],
-            avoid=[from_parent[s] for s in sorted(avoid_states)],
+            reach=[k for k, s in enumerate(extended) if s in m.reach],
+            avoid=[k for k, s in enumerate(extended) if s in m.avoid],
         )
         subs.append(
             Submodel(
@@ -202,32 +201,24 @@ def decompose(m: Pomdp) -> list[Submodel]:
                 own_parent_mask=own_masks[i],
                 extended_parent_mask=mask_from_states(extended),
                 outlets=dict(sorted(outlets[i].items())),
-                inlets=tuple(sorted(inlets[i])),
                 init_states=tuple(init_states),
-                reach_states=reach_states,
-                avoid_states=avoid_states,
-                adjacency=frozenset(),
-                initial_reach=frozenset(reach_states),
+                adjacency=frozenset(adjacency[i]),
             )
-        )
-    for j, sub in enumerate(subs):
-        sub.adjacency = frozenset(
-            k for k in range(n_subs) if j in set(subs[k].outlets.values())
         )
     return subs
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactoredRegion:
     """Per-submodel winning regions, queried as their union.
 
-    ``spec`` is the full-model objective in parent ids; the per-submodel
-    regions carry their own local objectives.  Membership is indexed on
-    the first query, so ``subs`` and ``regions`` must not change after it.
+    ``spec`` is the full-model objective in parent ids.  Each room region
+    carries its room's final local objective in sub-ids: the reach set
+    grown by propagation and the submodel's avoid set.
     """
 
-    subs: list[Submodel]
-    regions: list[WinningRegion]
+    subs: tuple[Submodel, ...]
+    regions: tuple[WinningRegion, ...]
     model_hash: str
     spec: Spec
     queue_pushes: int = 0
@@ -251,18 +242,10 @@ class FactoredRegion:
             raise ValueError("membership query on an empty support")
         return covered(self._index, u)
 
-    def region_of(self, label: str) -> WinningRegion:
-        for sub, reg in zip(self.subs, self.regions):
-            if sub.label == label:
-                return reg
-        raise KeyError(label)
-
 
 def _sub_seeds(sub: Submodel, powerset_seeds: bool,
                parent_masks: Collection[int]) -> list[int]:
     if powerset_seeds:
-        from .winning import powerset_supports
-
         return powerset_supports(range(sub.pomdp.n_states))
     seeds = [1 << sub.from_parent[s] for s in sub.init_states]
     ext = sub.extended_parent_mask
@@ -274,22 +257,21 @@ def _sub_seeds(sub: Submodel, powerset_seeds: bool,
 
 def propagate_factored_regions(
     m: Pomdp,
-    subs: list[Submodel],
+    subs: Sequence[Submodel],
     *,
     powerset_seeds: bool = False,
-    max_vertices: int | None = None,
+    max_vertices: int = DEFAULT_VERTEX_CAP,
     deadline: float | None = None,
 ) -> FactoredRegion:
     """Queue-based reach propagation to a fixpoint across submodels.
 
-    Reach sets are reset at entry to the reach labels captured at
-    decomposition, so repeated calls on the same submodel list are
-    idempotent.  Then: compute a region for every submodel whose reach
-    set is non-empty; repeatedly pop a pair (i, j), extend submodel i's
-    reach set with outlet states owned by j whose singleton support is
-    winning in j's current region, and on growth recompute i's region
-    and requeue its neighbours.  Reach sets only grow, so the loop
-    terminates.
+    Every room starts from its submodel's own reach set.  Compute a region
+    for every submodel whose reach set is non-empty; repeatedly pop a pair
+    (i, j), extend submodel i's reach set with outlet states owned by j
+    whose singleton support is winning in j's current region, and on
+    growth recompute i's region and requeue its neighbours.  Reach sets
+    only grow, so the loop terminates.  The submodels are not changed: a
+    room's final reach set is the one in its region's spec.
 
     Submodel support graphs are seeded with singleton initial supports
     plus every support reachable in the full model that fits inside the
@@ -300,87 +282,70 @@ def propagate_factored_regions(
     Only its vertices are kept (``reachable_supports``); it stores no
     branches, and it trips the same vertex cap and deadline as a graph.
     """
-    from .winning import DEFAULT_VERTEX_CAP
-
-    cap = max_vertices if max_vertices is not None else DEFAULT_VERTEX_CAP
     parent_masks: frozenset[int] = frozenset()
     if not powerset_seeds:
         parent_masks = reachable_supports(
-            m, [m.init_support], max_vertices=cap, deadline=deadline
+            m, [m.init_support], max_vertices=max_vertices, deadline=deadline
         )
-    for sub in subs:
-        sub.reach_states = set(sub.initial_reach)
+    reach = [sub.pomdp.reach_mask for sub in subs]
+    regions = [
+        WinningRegion((), Spec.of(sub.pomdp), model_hash(sub.pomdp))
+        for sub in subs
+    ]
     graphs: dict[int, SupportGraph] = {}
-    regions: list[WinningRegion] = []
-    empty_spec = [sub.local_spec() for sub in subs]
-    for sub in subs:
-        regions.append(
-            WinningRegion((), empty_spec[sub.index], model_hash(sub.pomdp))
-        )
-
-    def recompute(i: int) -> None:
-        sub = subs[i]
-        if i not in graphs:
-            seeds = _sub_seeds(sub, powerset_seeds, parent_masks)
-            if not seeds:
-                return
-            graphs[i] = build_support_graph(
-                sub.pomdp,
-                seeds,
-                max_vertices=cap,
-                deadline=deadline,
-            )
-        regions[i] = compute_winning_region(
-            sub.pomdp,
-            sub.local_spec(),
-            graph=graphs[i],
-            deadline=deadline,
-        )
-
-    stats = {"pushes": 0, "recomputes": 0}
     queue: deque[tuple[int, int]] = deque()
     pending: set[tuple[int, int]] = set()
+    pushes = recomputes = 0
 
-    def push(pair: tuple[int, int]) -> None:
-        if pair not in pending:
-            pending.add(pair)
-            queue.append(pair)
-            stats["pushes"] += 1
+    def recompute(i: int) -> None:
+        """Rebuild room i's region for its current reach set and requeue
+        every room with an outlet into it."""
+        nonlocal pushes, recomputes
+        sub = subs[i]
+        spec = Spec(reach[i], sub.pomdp.avoid_mask)
+        if i not in graphs:
+            seeds = _sub_seeds(sub, powerset_seeds, parent_masks)
+            if seeds:
+                graphs[i] = build_support_graph(
+                    sub.pomdp, seeds, max_vertices=max_vertices,
+                    deadline=deadline,
+                )
+        if i in graphs:
+            regions[i] = compute_winning_region(
+                sub.pomdp, spec, graph=graphs[i], deadline=deadline
+            )
+        else:
+            regions[i] = WinningRegion((), spec, regions[i].model_hash)
+        recomputes += 1
+        for k in sorted(sub.adjacency):
+            if (k, i) not in pending:
+                pending.add((k, i))
+                queue.append((k, i))
+                pushes += 1
 
-    for j, sub in enumerate(subs):
-        if sub.reach_states:
+    for j in range(len(subs)):
+        if reach[j]:
             recompute(j)
-            stats["recomputes"] += 1
-            for k in sorted(sub.adjacency):
-                push((k, j))
 
     while queue:
         i, j = queue.popleft()
         pending.discard((i, j))
-        sub = subs[i]
-        grew = False
+        sub, owner_sub = subs[i], subs[j]
+        grown = reach[i]
         for s, owner in sub.outlets.items():
-            if owner != j or s in sub.reach_states:
-                continue
-            if s in subs[j].avoid_states:
-                continue
-            singleton = 1 << subs[j].from_parent[s]
-            if regions[j].contains(singleton):
-                sub.reach_states.add(s)
-                grew = True
-        if grew:
+            if owner == j and regions[j].contains(1 << owner_sub.from_parent[s]):
+                grown |= 1 << sub.from_parent[s]
+        if grown != reach[i]:
+            reach[i] = grown
             recompute(i)
-            stats["recomputes"] += 1
-            for k in sorted(sub.adjacency):
-                push((k, i))
 
     return FactoredRegion(
-        subs=subs,
-        regions=regions,
+        subs=tuple(subs),
+        regions=tuple(regions),
         model_hash=model_hash(m),
         spec=Spec.of(m),
-        queue_pushes=stats["pushes"],
-        recomputes=stats["recomputes"],
+        queue_pushes=pushes,
+        recomputes=recomputes,
     )
 
 
@@ -393,8 +358,9 @@ def factored_elements_in_parent(f: FactoredRegion) -> tuple[int, ...]:
 
 
 def serialize_factored(f: FactoredRegion, m: Pomdp) -> str:
-    """One section per submodel: membership data, final reach sets and an
-    element count ahead of the section's W lines."""
+    """One section per submodel: membership data, the final reach set from
+    the room region's spec and an element count ahead of the section's W
+    lines."""
     lines = [
         "# factored winning regions",
         f"model {model_hash(m)}",
@@ -403,6 +369,7 @@ def serialize_factored(f: FactoredRegion, m: Pomdp) -> str:
     for sub, reg in zip(f.subs, f.regions):
         lines.append(f"submodel {sub.index} {sub.label}")
         names = lambda ids: " ".join(m.state_names[s] for s in sorted(ids))
+        parent_states = lambda mask: states_from_mask(sub.to_parent_mask(mask))
         lines.append("own " + names(states_from_mask(sub.own_parent_mask)))
         lines.append(
             "outlets "
@@ -411,11 +378,11 @@ def serialize_factored(f: FactoredRegion, m: Pomdp) -> str:
             )
         )
         lines.append("init " + names(sub.init_states))
-        lines.append("reach " + names(sub.reach_states))
-        lines.append("avoid " + names(sub.avoid_states))
+        lines.append("reach " + names(parent_states(reg.spec.reach_mask)))
+        lines.append("avoid " + names(parent_states(sub.pomdp.avoid_mask)))
         lines.append(f"elements {len(reg.elements)}")
         for e in sorted(reg.elements):
-            lines.append("W " + names(states_from_mask(sub.to_parent_mask(e))))
+            lines.append("W " + names(parent_states(e)))
     return "\n".join(lines) + "\n"
 
 
@@ -427,12 +394,11 @@ def parse_factored(text: str, m: Pomdp) -> FactoredRegion:
 
     The submodels themselves are reconstructed by decomposing the model,
     so the file only needs to agree on the structure and supply the final
-    reach sets and antichains.  The ``submodels`` line, one complete
-    section per submodel and each section's ``elements`` count are
-    required, so a cut file raises instead of loading as smaller regions.
+    reach sets, which become the room regions' specs, and antichains.  The
+    ``submodels`` line, one complete section per submodel and each
+    section's ``elements`` count are required, so a cut file raises
+    instead of loading as smaller regions.
     """
-    from .winning import RegionFileError, check_element_count, element_count
-
     file_hash = None
     for raw in text.splitlines():
         stripped = raw.split("#", 1)[0].strip()
@@ -452,7 +418,7 @@ def parse_factored(text: str, m: Pomdp) -> FactoredRegion:
     by_index = {sub.index: sub for sub in subs}
     declared = None
     current: Submodel | None = None
-    reach_seen: dict[int, set[int]] = {}
+    specs: dict[int, Spec] = {}
     elems: dict[int, list[int]] = {}
     counts: dict[int, int] = {}
     section_lines: dict[int, set[str]] = {}
@@ -486,7 +452,6 @@ def parse_factored(text: str, m: Pomdp) -> FactoredRegion:
                         f"submodel {idx} is labeled {current.label!r}, "
                         f"file says {args[1]!r}"
                     )
-                reach_seen[idx] = set()
                 elems[idx] = []
                 section_lines[idx] = set()
             elif current is None:
@@ -511,9 +476,15 @@ def parse_factored(text: str, m: Pomdp) -> FactoredRegion:
                         f"init states of {current.label} do not match the model"
                     )
             elif kind == "reach":
-                reach_seen[current.index] = set(state_ids(args))
+                u = mask_from_states(state_ids(args))
+                if u & ~current.extended_parent_mask:
+                    raise ValueError("reach state leaves its submodel's states")
+                specs[current.index] = Spec(
+                    current.to_sub_mask(u), current.pomdp.avoid_mask
+                )
             elif kind == "avoid":
-                if frozenset(state_ids(args)) != current.avoid_states:
+                u = mask_from_states(state_ids(args))
+                if u != current.to_parent_mask(current.pomdp.avoid_mask):
                     raise ValueError(
                         f"avoid states of {current.label} do not match the model"
                     )
@@ -551,9 +522,9 @@ def parse_factored(text: str, m: Pomdp) -> FactoredRegion:
             )
         check_element_count(counts[sub.index], len(elems[sub.index]),
                             f"submodel {sub.index} section")
-        sub.reach_states = reach_seen[sub.index]
         ac = antichain(elems[sub.index])
-        regions.append(WinningRegion(ac, sub.local_spec(), model_hash(sub.pomdp)))
+        regions.append(WinningRegion(ac, specs[sub.index], model_hash(sub.pomdp)))
     return FactoredRegion(
-        subs=subs, regions=regions, model_hash=file_hash, spec=Spec.of(m)
+        subs=tuple(subs), regions=tuple(regions), model_hash=file_hash,
+        spec=Spec.of(m),
     )

@@ -240,7 +240,7 @@ class _Search:
             bit = 1 << s2
             if shield is not None and not at_root and child.mask & bit == 0:
                 if not shield.contains(child.mask | bit):
-                    shield.note_sim_prune()
+                    shield.sim_pruned += 1
                     node.shielded |= 1 << a
                     node.edges[a] = None
                     continue

@@ -113,9 +113,6 @@ class ShieldContext:
         self.queries += 1
         return self.region.contains(mask)
 
-    def note_sim_prune(self):
-        self.sim_pruned += 1
-
     def root_action_allowed(self, support: int, a: int) -> bool:
         """Exact verdict for taking action ``a`` from the root support.
 

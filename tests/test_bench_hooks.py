@@ -9,6 +9,7 @@ traced run's profile pass also looks up planner functions by name.
 import pytest
 
 from safepomcp import domains, factored, harness, modelio, pomcp, shield, winning
+from safepomcp.model import states_from_mask
 
 PATCHED = [
     *(
@@ -91,3 +92,17 @@ def test_graph_stats_expression_counts_branches(obstacle6):
     g = winning.build_support_graph(obstacle6, [obstacle6.init_support])
     branches = sum(len(b) for per_action in g.edges for b in per_action)
     assert branches == len(g.succ) > len(g.vertices)
+
+
+def test_factored_region_reading(obstacle6):
+    """``perfbench/bench.py`` maps each room element to parent ids through
+    ``sub.to_parent`` and reads the propagation counters."""
+    f = factored.propagate_factored_regions(obstacle6, factored.decompose(obstacle6))
+    union = [
+        frozenset(sub.to_parent[s] for s in states_from_mask(e))
+        for sub, reg in zip(f.subs, f.regions) for e in reg.elements
+    ]
+    assert union == [
+        frozenset(states_from_mask(u)) for u in f.parent_elements()
+    ]
+    assert type(f.recomputes) is int and type(f.queue_pushes) is int

@@ -1,10 +1,13 @@
 """Benchmark world generators: layouts, dynamics, rewards and labels."""
 
+from collections import defaultdict
+
 import pytest
 
 from safepomcp import (
     DomainError,
     GridSpec,
+    cell_name,
     compute_winning_region,
     factored_gap_world,
     gen_obstacle,
@@ -282,3 +285,36 @@ def test_render_layout_markers():
     art = render_layout(GridSpec(), family="rocksample")
     assert art.rsplit("\n", 2)[0].count("R") == 3
     assert "R rock" in art
+
+
+def _layout_marks(art: str, n: int) -> defaultdict[str, set[str]]:
+    """Cells by marker character; cell rows are every other line, with a
+    marker every fourth character."""
+    marks = defaultdict(set)
+    for r, line in enumerate(art.splitlines()[0:2 * n:2], start=1):
+        for c in range(1, n + 1):
+            marks[line[4 * (c - 1)]].add(cell_name(r, c, n))
+    return marks
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_render_layout_marks_generated_stations_and_rocks(n):
+    gs = GridSpec(n=n)
+    refuel = gen_refuel(gs)
+    refuel_a = refuel.action_id["refuel"]
+    stations = set()
+    for cell in (name[:-3] for name in refuel.state_names if name.endswith("_e0")):
+        s = refuel.state_id[cell + "_e0"] * refuel.n_actions + refuel_a
+        full = refuel.state_id[f"{cell}_e{gs.battery}"]
+        if refuel.transitions[s][0] == (full,):
+            stations.add(cell)
+    rocks = {
+        a[len("sense_"):] for a in gen_rocksample(gs).action_names
+        if a.startswith("sense_")
+    }
+    assert stations and rocks
+    for family, marker, cells in (("refuel", "F", stations),
+                                  ("rocksample", "R", rocks)):
+        marks = _layout_marks(render_layout(gs, family), n)
+        # S, G and X take precedence over F and R on a shared cell
+        assert marks[marker] == cells - marks["S"] - marks["G"] - marks["X"]

@@ -42,6 +42,10 @@ def _sub(subs, label):
     return next(s for s in subs if s.label == label)
 
 
+def _reach_names(m, sub, reach_mask):
+    return _names(m, states_from_mask(sub.to_parent_mask(reach_mask)))
+
+
 # -- decomposition ---------------------------------------------------------
 
 
@@ -86,7 +90,7 @@ def test_decompose_ignores_negligible_exits():
     assert m._succ_masks[0] == 1 << 1
     subs = decompose(m)
     assert {sub.label: sub.outlets for sub in subs} == {"A": {}, "B": {}}
-    assert [sub.inlets for sub in subs] == [(), ()]
+    assert [sub.adjacency for sub in subs] == [frozenset(), frozenset()]
     f = propagate_factored_regions(m, subs)
     assert f.contains(1 << 0)
 
@@ -95,7 +99,8 @@ def test_decompose_init_excludes_avoid_inlets(obstacle6):
     subs = decompose(obstacle6)
     # g21 is an entry target from the room below but also an obstacle
     g21 = obstacle6.state_id["g21"]
-    assert g21 in subs[0].inlets or g21 in subs[0].avoid_states
+    assert subs[2].outlets[g21] == 0
+    assert subs[0].pomdp.avoid_mask >> subs[0].from_parent[g21] & 1
     assert g21 not in subs[0].init_states
 
 
@@ -134,9 +139,9 @@ def test_decompose_covers_states_disjointly(obstacle6):
 
 def test_decompose_goal_room_seeds_reach(obstacle6):
     subs = decompose(obstacle6)
-    assert _names(obstacle6, subs[3].initial_reach) == ["g66"]
+    assert _reach_names(obstacle6, subs[3], subs[3].pomdp.reach_mask) == ["g66"]
     for sub in subs[:3]:
-        assert sub.initial_reach == frozenset()
+        assert sub.pomdp.reach_mask == 0
     assert _names(obstacle6, subs[3].init_states) == ["g46", "g56", "g64", "g65"]
 
 
@@ -166,9 +171,10 @@ def test_propagation_first_update_adds_goal_room_doors(obstacle6, obstacle6_fact
         s for s, owner in top_right.outlets.items() if owner == 3
     }
     assert _names(obstacle6, from_goal_room) == ["g46", "g56"]
-    assert from_goal_room <= top_right.reach_states
-    goal_region = obstacle6_factored.region_of("q11")
+    reach = obstacle6_factored.regions[top_right.index].spec.reach_mask
+    assert {"g46", "g56"} <= set(_reach_names(obstacle6, top_right, reach))
     goal_sub = _sub(obstacle6_factored.subs, "q11")
+    goal_region = obstacle6_factored.regions[goal_sub.index]
     for s in from_goal_room:
         assert goal_region.contains(1 << goal_sub.from_parent[s])
 
@@ -193,6 +199,26 @@ def test_propagation_is_idempotent(obstacle6, obstacle6_factored):
         assert a.elements == b.elements
 
 
+def test_failed_propagation_leaves_regions_and_submodels_alone(obstacle6):
+    subs = decompose(obstacle6)
+    f = propagate_factored_regions(obstacle6, subs)
+    text = serialize_factored(f, obstacle6)
+    assert "reach g14 g41 g51\n" in text
+    with pytest.raises(RegionTimeout):
+        propagate_factored_regions(
+            obstacle6, subs, deadline=time.monotonic() - 1.0
+        )
+    assert serialize_factored(f, obstacle6) == text
+    assert subs == decompose(obstacle6)
+
+
+def test_submodels_and_regions_are_frozen(obstacle6_factored):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        obstacle6_factored.subs[0].init_states = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        obstacle6_factored.regions = ()
+
+
 def test_propagation_reaches_fixpoint(obstacle6, obstacle6_factored):
     parent_graph = build_support_graph(obstacle6, [obstacle6.init_support])
     for sub, reg in zip(obstacle6_factored.subs, obstacle6_factored.regions):
@@ -202,7 +228,7 @@ def test_propagation_reaches_fixpoint(obstacle6, obstacle6_factored):
             for u in parent_graph.vertices
             if u & ~sub.extended_parent_mask == 0
         ]
-        again = compute_winning_region(sub.pomdp, sub.local_spec(), seeds=seeds)
+        again = compute_winning_region(sub.pomdp, reg.spec, seeds=seeds)
         assert again.elements == reg.elements
 
 
@@ -245,7 +271,8 @@ def test_propagation_deadline(obstacle6):
 
 def test_gap_world_first_room_reach(gap6, gap6_factored):
     first = _sub(gap6_factored.subs, "q00")
-    assert _names(gap6, first.reach_states) == ["g15"]
+    reach = gap6_factored.regions[first.index].spec.reach_mask
+    assert _reach_names(gap6, first, reach) == ["g15"]
 
 
 def test_gap_world_union_misses_retreat_support(gap6, gap6_region, gap6_factored):
@@ -336,11 +363,6 @@ def test_factored_witness_replays(obstacle6, obstacle6_factored):
         assert v & ~obstacle6.reach_mask == 0
 
 
-def test_region_of_unknown_label(obstacle6_factored):
-    with pytest.raises(KeyError):
-        obstacle6_factored.region_of("attic")
-
-
 # -- factored region files -------------------------------------------------
 
 
@@ -350,8 +372,7 @@ def test_factored_file_round_trip(obstacle6, obstacle6_factored):
     again = parse_factored(text, obstacle6)
     for a, b in zip(again.regions, obstacle6_factored.regions):
         assert a.elements == b.elements
-    for sa, sb in zip(again.subs, obstacle6_factored.subs):
-        assert sa.reach_states == sb.reach_states
+        assert a.spec == b.spec
     for u in factored_elements_in_parent(obstacle6_factored):
         assert again.contains(u)
 
@@ -373,6 +394,13 @@ def test_factored_file_rejects_unknown_state(obstacle6, obstacle6_factored):
     text = serialize_factored(obstacle6_factored, obstacle6)
     tampered = text.replace("W g11", "W g99", 1)
     with pytest.raises(RegionFileError, match="line"):
+        parse_factored(tampered, obstacle6)
+
+
+def test_factored_file_rejects_reach_outside_room(obstacle6, obstacle6_factored):
+    text = serialize_factored(obstacle6_factored, obstacle6)
+    tampered = text.replace("reach g14 g41 g51", "reach g14 g41 g51 g66", 1)
+    with pytest.raises(RegionFileError, match="reach state leaves"):
         parse_factored(tampered, obstacle6)
 
 

@@ -194,8 +194,7 @@ def test_prior_prune_counters(obstacle6, obstacle6_region):
     assert ctx.root_pruned == 1
     assert ctx.sim_pruned == 0
     assert ctx.queries == expected_queries
-    ctx.note_sim_prune()
-    ctx.note_sim_prune()
+    ctx.sim_pruned += 2
     assert ctx.stats() == ShieldStats(1, 2, expected_queries)
 
 

@@ -344,15 +344,14 @@ def test_fixpoint_matches_round_reference_on_revised_reach(
         if not seeds:
             continue
         g = build_support_graph(sub.pomdp, seeds)
-        reach = set(sub.initial_reach)
-        doors = [s for s in sub.outlets if s not in sub.avoid_states]
+        avoid = sub.pomdp.avoid_mask
+        reach = sub.pomdp.reach_mask
+        doors = [sub.from_parent[s] for s in sub.outlets]
+        doors = [k for k in doors if not avoid >> k & 1]
         for outlet in [None, *doors]:
             if outlet is not None:
-                reach.add(outlet)
-            spec = Spec(
-                sub.to_sub_mask(mask_from_states(reach)),
-                sub.to_sub_mask(mask_from_states(sub.avoid_states)),
-            )
+                reach |= 1 << outlet
+            spec = Spec(reach, avoid)
             assert winning_masks(g, spec) == round_winning_masks(g, spec)
             checked += 1
     assert checked > len(obstacle6_factored.subs)
